@@ -1,209 +1,35 @@
 #include "sim/event_domain.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <vector>
-
-#include "sim/sharded_event_queue.hpp"
 
 namespace adx::sim {
-namespace {
 
-std::vector<rng> make_streams(unsigned places, std::uint64_t seed) {
-  std::vector<rng> s;
-  s.reserve(places);
-  for (unsigned p = 0; p < places; ++p) {
-    s.emplace_back(seed ^ (0x9e3779b97f4a7c15ULL * (p + 1)));
+event_domain::event_domain(const machine_config& cfg, const domain_options& opt)
+    : places_(cfg.groups()),
+      q_(std::min(std::max(opt.shards, 1u), places_), cfg.min_cross_group_latency()) {
+  if (opt.adaptive_lookahead) q_.set_adaptive_lookahead(true, opt.max_widen);
+  streams_.reserve(places_);
+  for (unsigned p = 0; p < places_; ++p) {
+    streams_.emplace_back(opt.seed ^ (0x9e3779b97f4a7c15ULL * (p + 1)));
+  }
+}
+
+domain_stats event_domain::stats() const {
+  domain_stats s;
+  s.windows = q_.windows();
+  s.cross_sends = q_.cross_sends();
+  s.widened_windows = q_.widened_windows();
+  s.peak_widen = q_.peak_widen();
+  for (unsigned i = 0; i < q_.shards(); ++i) {
+    s.slab_slots += q_.shard_queue(i).slots_acquired();
+    s.callback_spills += q_.shard_queue(i).callback_spills();
   }
   return s;
 }
 
-/// Sequential domain: every place maps to one event_queue, but sends still
-/// go through an outbox merged at window barriers — running the exact grid
-/// the sharded implementation runs, so tie-break seqs (and therefore every
-/// downstream observable) match the sharded run bit for bit.
-class queue_domain final : public event_domain {
- public:
-  queue_domain(unsigned places, vdur lookahead, const domain_options& opt)
-      : places_(places),
-        lookahead_(lookahead),
-        adaptive_(opt.adaptive_lookahead),
-        max_widen_(opt.max_widen < 1 ? 1 : opt.max_widen),
-        streams_(make_streams(places, opt.seed)) {
-    if (lookahead.ns <= 0) {
-      throw std::invalid_argument("queue_domain: lookahead must be positive");
-    }
-  }
-
-  [[nodiscard]] unsigned places() const override { return places_; }
-  [[nodiscard]] vdur lookahead() const override { return lookahead_; }
-  [[nodiscard]] event_queue& queue_of(unsigned place) override {
-    check_place(place);
-    return q_;
-  }
-  [[nodiscard]] rng& stream(unsigned place) override { return streams_.at(place); }
-
-  void send(unsigned from, unsigned to, vtime at, std::uint64_t origin,
-            event_queue::callback fn) override {
-    check_place(from);
-    check_place(to);
-    if (at < q_.now() + lookahead_) {
-      throw std::logic_error("queue_domain::send: timestamp inside the lookahead horizon");
-    }
-    outbox_.push_back({at, origin, std::move(fn)});
-  }
-
-  std::uint64_t run(exec::job_executor*, std::uint64_t max_events) override {
-    const auto before = q_.processed();
-    while (q_.processed() - before < max_events && window()) {
-    }
-    return q_.processed() - before;
-  }
-
-  [[nodiscard]] vtime now() const override { return q_.now(); }
-  [[nodiscard]] bool empty() const override { return q_.empty() && outbox_.empty(); }
-  [[nodiscard]] std::uint64_t processed() const override { return q_.processed(); }
-  [[nodiscard]] domain_stats stats() const override {
-    domain_stats s;
-    s.windows = windows_;
-    s.cross_sends = cross_sends_;
-    s.widened_windows = widened_windows_;
-    s.peak_widen = peak_widen_;
-    s.slab_slots = q_.slots_acquired();
-    s.callback_spills = q_.callback_spills();
-    return s;
-  }
-
- private:
-  void check_place(unsigned place) const {
-    if (place >= places_) throw std::out_of_range("queue_domain: bad place");
-  }
-
-  std::uint64_t deliver() {
-    if (outbox_.empty()) return 0;
-    std::stable_sort(outbox_.begin(), outbox_.end(),
-                     [](const pending_send& a, const pending_send& b) {
-                       if (a.at != b.at) return a.at < b.at;
-                       return a.origin < b.origin;
-                     });
-    for (auto& p : outbox_) q_.schedule_at(p.at, std::move(p.fn));
-    const auto n = outbox_.size();
-    outbox_.clear();
-    cross_sends_ += n;
-    return n;
-  }
-
-  /// One synchronization round — the same grid sharded_event_queue::window
-  /// runs: leading delivery barrier, widen_ L-sized sub-segments with
-  /// barriers between them, widening driven only by the delivered count.
-  bool window() {
-    std::uint64_t traffic = deliver();
-    if (q_.empty()) return false;
-    const vtime tmin = q_.next_at();
-    const std::uint64_t w = widen_;
-    for (std::uint64_t k = 1; k <= w; ++k) {
-      const vtime until{(tmin + lookahead_ * static_cast<std::int64_t>(k)).ns - 1};
-      q_.run_until(until);
-      if (k < w) traffic += deliver();
-    }
-    ++windows_;
-    if (w > 1) ++widened_windows_;
-    if (adaptive_) {
-      widen_ = traffic == 0 ? std::min<std::uint64_t>(widen_ * 2, max_widen_) : 1;
-      peak_widen_ = std::max(peak_widen_, w);
-    }
-    return true;
-  }
-
-  struct pending_send {
-    vtime at;
-    std::uint64_t origin;
-    event_queue::callback fn;
-  };
-
-  unsigned places_;
-  vdur lookahead_;
-  bool adaptive_;
-  unsigned max_widen_;
-  event_queue q_;
-  std::vector<pending_send> outbox_;
-  std::vector<rng> streams_;
-  std::uint64_t widen_{1};
-  std::uint64_t windows_{0};
-  std::uint64_t cross_sends_{0};
-  std::uint64_t widened_windows_{0};
-  std::uint64_t peak_widen_{1};
-};
-
-/// Parallel domain: places map round-robin onto sharded_event_queue shards.
-class sharded_domain final : public event_domain {
- public:
-  sharded_domain(unsigned places, unsigned shards, vdur lookahead,
-                 const domain_options& opt)
-      : places_(places),
-        shards_(shards),
-        q_(shards, lookahead),
-        streams_(make_streams(places, opt.seed)) {
-    if (opt.adaptive_lookahead) q_.set_adaptive_lookahead(true, opt.max_widen);
-  }
-
-  [[nodiscard]] unsigned places() const override { return places_; }
-  [[nodiscard]] vdur lookahead() const override { return q_.lookahead(); }
-  [[nodiscard]] event_queue& queue_of(unsigned place) override {
-    return q_.shard_queue(shard_of(place));
-  }
-  [[nodiscard]] rng& stream(unsigned place) override { return streams_.at(place); }
-
-  void send(unsigned from, unsigned to, vtime at, std::uint64_t origin,
-            event_queue::callback fn) override {
-    q_.send(shard_of(from), shard_of(to), at, origin, std::move(fn));
-  }
-
-  std::uint64_t run(exec::job_executor* ex, std::uint64_t max_events) override {
-    return q_.run_budgeted(ex, max_events);
-  }
-
-  [[nodiscard]] vtime now() const override { return q_.now(); }
-  [[nodiscard]] bool empty() const override { return q_.empty(); }
-  [[nodiscard]] std::uint64_t processed() const override { return q_.processed(); }
-  [[nodiscard]] domain_stats stats() const override {
-    domain_stats s;
-    s.windows = q_.windows();
-    s.cross_sends = q_.cross_sends();
-    s.widened_windows = q_.widened_windows();
-    s.peak_widen = q_.peak_widen();
-    for (unsigned i = 0; i < shards_; ++i) {
-      s.slab_slots += q_.shard_queue(i).slots_acquired();
-      s.callback_spills += q_.shard_queue(i).callback_spills();
-    }
-    return s;
-  }
-
- private:
-  [[nodiscard]] unsigned shard_of(unsigned place) const {
-    if (place >= places_) throw std::out_of_range("sharded_domain: bad place");
-    return place % shards_;
-  }
-
-  unsigned places_;
-  unsigned shards_;
-  // stats() is morally const; shard_queue hands out mutable references.
-  mutable sharded_event_queue q_;
-  std::vector<rng> streams_;
-};
-
-}  // namespace
-
 std::unique_ptr<event_domain> make_event_domain(const machine_config& cfg,
                                                 const domain_options& opt) {
-  const unsigned places = cfg.groups();
-  const vdur lookahead = cfg.min_cross_group_latency();
-  unsigned shards = opt.shards < 1 ? 1 : opt.shards;
-  if (shards > places) shards = places;
-  if (shards == 1) {
-    return std::make_unique<queue_domain>(places, lookahead, opt);
-  }
-  return std::make_unique<sharded_domain>(places, shards, lookahead, opt);
+  return std::make_unique<event_domain>(cfg, opt);
 }
 
 }  // namespace adx::sim

@@ -1,10 +1,13 @@
 #include "sim/sharded_event_queue.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace adx::sim {
 
-bool sharded_event_queue::window(exec::job_executor* ex) {
+// Inline into run_budgeted, its one caller: in sparse runs, where a window
+// holds only a few events, any per-window call is paid on nearly every event.
+inline std::uint64_t sharded_event_queue::window(exec::job_executor* ex) {
   // Drain outboxes first so the shard heaps are the whole pending set. For
   // sends emitted inside a window this is the same barrier as flushing at
   // window end; doing it here additionally covers sends issued from outside
@@ -15,11 +18,11 @@ bool sharded_event_queue::window(exec::job_executor* ex) {
   bool any = false;
   vtime tmin{};
   for (const auto& s : shards_) {
-    if (s->q.empty()) continue;
-    if (!any || s->q.next_at() < tmin) tmin = s->q.next_at();
+    if (s.q.empty()) continue;
+    if (!any || s.q.next_at() < tmin) tmin = s.q.next_at();
     any = true;
   }
-  if (!any) return false;
+  if (!any) return 0;
 
   // Events with timestamp < tmin + lookahead are safe: any cross-shard
   // influence generated inside the window lands at >= sender_now + lookahead
@@ -33,13 +36,15 @@ bool sharded_event_queue::window(exec::job_executor* ex) {
   // sub-segment that could reach its timestamp — the conservative argument
   // applies inductively per sub-segment, and L stays the correctness floor.
   const std::uint64_t w = widen_;
+  std::uint64_t ran = 0;
   for (std::uint64_t k = 1; k <= w; ++k) {
     const vtime until{(tmin + lookahead_ * static_cast<std::int64_t>(k)).ns - 1};
     if (ex != nullptr) {
-      ex->for_each(shards_.size(),
-                   [&](std::size_t i) { shards_[i]->q.run_until(until); });
+      const auto before = processed();
+      ex->for_each(shards_.size(), [&](std::size_t i) { shards_[i].q.run_until(until); });
+      ran += processed() - before;
     } else {
-      for (auto& s : shards_) s->q.run_until(until);
+      for (auto& s : shards_) ran += s.q.run_until(until);
     }
     if (k < w) traffic += deliver_outboxes();
   }
@@ -49,43 +54,53 @@ bool sharded_event_queue::window(exec::job_executor* ex) {
     widen_ = traffic == 0 ? std::min<std::uint64_t>(widen_ * 2, max_widen_) : 1;
     peak_widen_ = std::max(peak_widen_, w);
   }
-  return true;
+  return ran;
 }
 
 std::uint64_t sharded_event_queue::deliver_outboxes() {
+  // Most windows send nothing: keep that check small enough to inline.
+  for (const auto& s : shards_) {
+    if (!s.outbox.empty()) return merge_outboxes();
+  }
+  return 0;
+}
+
+std::uint64_t sharded_event_queue::merge_outboxes() {
   // Merge every outbox in ascending (at, origin) order — a total order as
   // long as origins are unique per delivery, and independent of both the
   // worker schedule (outboxes are complete at the barrier) and the shard
   // count (the key never mentions a shard index). The stable sort makes even
   // duplicate-origin ties deterministic for a fixed shard count: outboxes
   // are concatenated in shard order and each one is in emission order.
-  std::vector<pending_send> all;
   for (auto& s : shards_) {
-    for (auto& p : s->outbox) all.push_back(std::move(p));
-    s->outbox.clear();
+    std::move(s.outbox.begin(), s.outbox.end(), std::back_inserter(merged_));
+    s.outbox.clear();
   }
-  if (all.empty()) return 0;
-  std::stable_sort(all.begin(), all.end(), [](const pending_send& a, const pending_send& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.origin < b.origin;
-  });
-  for (auto& p : all) {
-    shards_[p.to]->q.schedule_at(p.at, std::move(p.fn));
-  }
-  cross_sends_ += all.size();
-  return all.size();
+  std::stable_sort(merged_.begin(), merged_.end(),
+                   [](const pending_send& a, const pending_send& b) {
+                     if (a.at != b.at) return a.at < b.at;
+                     return a.origin < b.origin;
+                   });
+  for (auto& p : merged_) shards_[p.to].q.schedule_at(p.at, std::move(p.fn));
+  const std::uint64_t n = merged_.size();
+  merged_.clear();
+  cross_sends_ += n;
+  return n;
 }
 
 std::uint64_t sharded_event_queue::run_budgeted(exec::job_executor* ex,
                                                std::uint64_t max_events) {
-  const auto before = processed();
   // A single shard has no concurrency to exploit; skip the fan-out so the
   // degenerate case stays the plain sequential loop.
   exec::job_executor* driver =
       ex != nullptr && shards_.size() > 1 && ex->jobs() > 1 ? ex : nullptr;
-  while (processed() - before < max_events && window(driver)) {
+  std::uint64_t ran = 0;
+  while (ran < max_events) {
+    const std::uint64_t n = window(driver);
+    if (n == 0) break;
+    ran += n;
   }
-  return processed() - before;
+  return ran;
 }
 
 std::uint64_t sharded_event_queue::run(exec::job_executor& ex) {

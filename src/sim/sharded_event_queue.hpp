@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -49,13 +48,11 @@ class sharded_event_queue {
   /// synchronization horizon (must be positive — a zero lookahead would
   /// serialize every event and deadlock the window loop).
   sharded_event_queue(unsigned shards, vdur lookahead)
-      : lookahead_(lookahead) {
+      : shards_(shards), lookahead_(lookahead) {
     if (shards == 0) throw std::invalid_argument("sharded_event_queue: shards must be > 0");
     if (lookahead.ns <= 0) {
       throw std::invalid_argument("sharded_event_queue: lookahead must be positive");
     }
-    shards_.reserve(shards);
-    for (unsigned i = 0; i < shards; ++i) shards_.push_back(std::make_unique<shard>());
   }
   sharded_event_queue(const sharded_event_queue&) = delete;
   sharded_event_queue& operator=(const sharded_event_queue&) = delete;
@@ -69,7 +66,7 @@ class sharded_event_queue {
   /// use send().
   template <typename F>
   void schedule_at(unsigned shard, vtime at, F&& fn) {
-    shards_.at(shard)->q.schedule_at(at, std::forward<F>(fn));
+    shards_.at(shard).q.schedule_at(at, std::forward<F>(fn));
   }
 
   /// Cross-shard send honoring the conservative contract: `at` must be at
@@ -79,7 +76,7 @@ class sharded_event_queue {
   /// shard of the currently executing event (or any shard during setup).
   template <typename F>
   void send(unsigned from, unsigned to, vtime at, std::uint64_t origin, F&& fn) {
-    auto& src = *shards_.at(from);
+    auto& src = shards_.at(from);
     if (to >= shards_.size()) throw std::out_of_range("sharded_event_queue::send: bad shard");
     if (at < src.q.now() + lookahead_) {
       throw std::logic_error(
@@ -127,32 +124,35 @@ class sharded_event_queue {
   /// Direct access to one shard's queue (setup, and events running on that
   /// shard). The sharded workloads hand each node group's machine its
   /// shard's queue so all thread scheduling stays shard-local.
-  [[nodiscard]] event_queue& shard_queue(unsigned shard) { return shards_.at(shard)->q; }
+  [[nodiscard]] event_queue& shard_queue(unsigned shard) { return shards_.at(shard).q; }
+  [[nodiscard]] const event_queue& shard_queue(unsigned shard) const {
+    return shards_.at(shard).q;
+  }
 
   /// Pre-sizes every shard's private callback slab so the parallel windows
   /// of a run with bursts of up to `per_shard` in-flight events never
   /// allocate (see event_queue::reserve_slots).
   void reserve_slots(std::size_t per_shard) {
-    for (auto& s : shards_) s->q.reserve_slots(per_shard);
+    for (auto& s : shards_) s.q.reserve_slots(per_shard);
   }
 
   /// The given shard's clock (its last executed event's timestamp).
-  [[nodiscard]] vtime now(unsigned shard) const { return shards_.at(shard)->q.now(); }
+  [[nodiscard]] vtime now(unsigned shard) const { return shards_.at(shard).q.now(); }
   /// Latest clock across shards — the simulation's end time after run().
   [[nodiscard]] vtime now() const {
     vtime t{};
-    for (const auto& s : shards_) t = max(t, s->q.now());
+    for (const auto& s : shards_) t = max(t, s.q.now());
     return t;
   }
   [[nodiscard]] bool empty() const {
     for (const auto& s : shards_) {
-      if (!s->q.empty() || !s->outbox.empty()) return false;
+      if (!s.q.empty() || !s.outbox.empty()) return false;
     }
     return true;
   }
   [[nodiscard]] std::uint64_t processed() const {
     std::uint64_t n = 0;
-    for (const auto& s : shards_) n += s->q.processed();
+    for (const auto& s : shards_) n += s.q.processed();
     return n;
   }
   /// Synchronization rounds executed so far. A pure function of the global
@@ -168,17 +168,23 @@ class sharded_event_queue {
     unsigned to;
     event_queue::callback fn;
   };
-  struct shard {
+  /// Cache-line aligned: parallel windows write neighbouring shards from
+  /// different workers. Built once at construction and never moved.
+  struct alignas(64) shard {
     event_queue q;
     std::vector<pending_send> outbox;  ///< written only by the shard's worker
   };
 
-  /// One synchronization round; returns false when fully drained.
-  bool window(exec::job_executor* ex);
+  /// One synchronization round; returns the events it ran, which is 0 only
+  /// when fully drained (a live round always runs its earliest event).
+  std::uint64_t window(exec::job_executor* ex);
   /// Flushes all outboxes in (at, origin) order; returns deliveries made.
   std::uint64_t deliver_outboxes();
+  /// deliver_outboxes' slow path: at least one outbox is non-empty.
+  std::uint64_t merge_outboxes();
 
-  std::vector<std::unique_ptr<shard>> shards_;
+  std::vector<shard> shards_;
+  std::vector<pending_send> merged_;  ///< barrier merge buffer, reused
   vdur lookahead_;
   std::uint64_t windows_{0};
   std::uint64_t cross_sends_{0};

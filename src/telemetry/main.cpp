@@ -10,10 +10,10 @@
 //   adx-telemetryd --listen=tcp:127.0.0.1:9314 --runs=4 --quiet
 //
 // Merge mode: no sockets at all — decode post-hoc dump files (written by
-// producers via --telemetry-dump) through the same timeline logic and write
-// the merged export. Because a producer's dump is byte-for-byte the stream
-// it sent, merging dumps post-hoc reproduces the live merged export
-// exactly; CI diffs the two.
+// producers via --telemetry-dump) through the same timeline logic, print the
+// final dashboard (unless --quiet) and write the merged export. Because a
+// producer's dump is byte-for-byte the stream it sent, merging dumps
+// post-hoc reproduces the live merged export exactly; CI diffs the two.
 //
 //   adx-telemetryd --merge=p0.tlm,p1.tlm,p2.tlm --export=merged.json
 #include <atomic>
@@ -60,7 +60,16 @@ bool write_export(const std::string& path, const std::string& json) {
   return true;
 }
 
-int merge_mode(const std::string& merge_list, const std::string& export_path) {
+/// Writes `prefix` then the dashboard panel for `tl` to stdout.
+void print_dashboard(const adx::telemetry::timeline& tl,
+                     const adx::telemetry::dashboard_options& dopt, const char* prefix) {
+  const std::string panel = prefix + render_dashboard(tl.snapshot(), dopt);
+  std::fwrite(panel.data(), 1, panel.size(), stdout);
+  std::fflush(stdout);
+}
+
+int merge_mode(const std::string& merge_list, const std::string& export_path, bool quiet,
+               const adx::telemetry::dashboard_options& dopt) {
   adx::telemetry::timeline tl;
   int rc = 0;
   for (const auto& path : split_commas(merge_list)) {
@@ -103,6 +112,7 @@ int merge_mode(const std::string& merge_list, const std::string& export_path) {
     }
     tl.stream_closed(st);
   }
+  if (!quiet) print_dashboard(tl, dopt, "");
   if (!export_path.empty() && !write_export(export_path, tl.chrome_json())) rc = 1;
   return rc;
 }
@@ -123,14 +133,18 @@ int main(int argc, char** argv) {
           .u64("runs", 0, "exit after this many producer runs complete (0 = run "
                           "until SIGINT)")
           .u64("refresh-ms", 500, "dashboard refresh interval")
-          .flag("quiet", "no dashboard; print nothing but errors")
+          .flag("quiet", "no dashboard (live or --merge); print nothing but errors")
           .flag("color", "ANSI colors in the dashboard")
           .note("Producers attach with --telemetry=<endpoint> (adx-check, "
                 "benches) or embed telemetry::client directly.");
   opt.parse(argc, argv);
 
+  const bool quiet = opt.get_flag("quiet");
+  adx::telemetry::dashboard_options dopt;
+  dopt.color = opt.get_flag("color");
+
   if (!opt.get_str("merge").empty()) {
-    return merge_mode(opt.get_str("merge"), opt.get_str("export"));
+    return merge_mode(opt.get_str("merge"), opt.get_str("export"), quiet, dopt);
   }
 
   std::string err;
@@ -152,9 +166,6 @@ int main(int argc, char** argv) {
 
   const std::uint64_t want_runs = opt.get_u64("runs");
   const auto refresh = std::chrono::milliseconds(opt.get_u64("refresh-ms"));
-  const bool quiet = opt.get_flag("quiet");
-  adx::telemetry::dashboard_options dopt;
-  dopt.color = opt.get_flag("color");
 
   if (!quiet) {
     std::cerr << "adx-telemetryd: listening on " << opt.get_str("listen") << "\n";
@@ -165,22 +176,14 @@ int main(int argc, char** argv) {
         tl.runs_done() >= want_runs) {
       break;
     }
-    if (!quiet) {
-      // Home the cursor and clear below instead of wiping the terminal —
-      // refresh without flicker.
-      std::string panel = "\x1b[H\x1b[J" + render_dashboard(tl.snapshot(), dopt);
-      std::fwrite(panel.data(), 1, panel.size(), stdout);
-      std::fflush(stdout);
-    }
+    // Home the cursor and clear below instead of wiping the terminal —
+    // refresh without flicker.
+    if (!quiet) print_dashboard(tl, dopt, "\x1b[H\x1b[J");
     std::this_thread::sleep_for(refresh);
   }
 
   srv->stop();
-  if (!quiet) {
-    std::fwrite("\n", 1, 1, stdout);
-    std::string panel = render_dashboard(tl.snapshot(), dopt);
-    std::fwrite(panel.data(), 1, panel.size(), stdout);
-  }
+  if (!quiet) print_dashboard(tl, dopt, "\n");
   if (!opt.get_str("export").empty()) {
     if (!write_export(opt.get_str("export"), tl.chrome_json())) return 1;
     if (!quiet) {

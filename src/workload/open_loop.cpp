@@ -2,10 +2,11 @@
 
 #include <cmath>
 #include <deque>
+#include <memory>
 #include <stdexcept>
 
+#include "sim/event_domain.hpp"
 #include "sim/rng.hpp"
-#include "sim/sharded_event_queue.hpp"
 #include "sim/stats.hpp"
 
 namespace adx::workload {
@@ -40,11 +41,10 @@ struct group_state {
   std::uint64_t grants_block = 0;
 };
 
-/// Per-group client side: the arrival process. Owns its rng, so the draw
-/// sequence is a pure function of (seed, group) — re-sharding cannot
-/// reorder it.
+/// Per-group client side: the arrival process. Its draws come from the
+/// domain's stream for the group, a pure function of (seed, group) —
+/// re-sharding cannot reorder them.
 struct client_state {
-  sim::rng gen{0};
   std::uint64_t remaining = 0;
   std::uint64_t origin_counter = 0;
   std::uint64_t remote_requests = 0;
@@ -52,10 +52,8 @@ struct client_state {
 
 class engine {
  public:
-  engine(const open_loop_config& cfg)
-      : cfg_(cfg),
-        lookahead_(cfg.machine.min_cross_group_latency()),
-        q_(cfg.shards, lookahead_) {
+  engine(const open_loop_config& cfg) : cfg_(cfg) {
+    if (cfg.shards == 0) throw std::invalid_argument("open_loop: shards must be > 0");
     if (cfg.locks_per_group == 0) {
       throw std::invalid_argument("open_loop: locks_per_group must be > 0");
     }
@@ -65,25 +63,21 @@ class engine {
     if (cfg.mean_interarrival_us <= 0.0 || cfg.mean_service_us <= 0.0) {
       throw std::invalid_argument("open_loop: means must be positive");
     }
-    const unsigned n = cfg.machine.groups();
+    dom_ = sim::make_event_domain(cfg.machine, {.shards = cfg.shards, .seed = cfg.seed});
+    const unsigned n = dom_->places();
     groups_.resize(n);
     clients_.resize(n);
     for (unsigned g = 0; g < n; ++g) {
       groups_[g].locks.resize(cfg.locks_per_group);
-      clients_[g].gen.reseed(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (g + 1)));
       clients_[g].remaining = cfg.requests_per_group;
-      const auto first = sim::vtime{} + sim::vdur{draw_interarrival(clients_[g].gen,
-                                                                    sim::vtime{})};
-      q_.schedule_at(shard_of(g), first, [this, g, first] { arrival(g, first); });
+      const auto first =
+          sim::vtime{} + sim::vdur{draw_interarrival(dom_->stream(g), sim::vtime{})};
+      dom_->queue_of(g).schedule_at(first, [this, g, first] { arrival(g, first); });
     }
   }
 
   open_loop_result run(exec::job_executor* ex) {
-    if (ex != nullptr) {
-      q_.run(*ex);
-    } else {
-      q_.run();
-    }
+    dom_->run(ex);
     open_loop_result r;
     sim::log_histogram merged;
     for (const auto& g : groups_) {
@@ -93,14 +87,15 @@ class engine {
       r.grants_block += g.grants_block;
     }
     for (const auto& c : clients_) r.remote_requests += c.remote_requests;
-    r.elapsed = q_.now();
+    r.elapsed = dom_->now();
     r.p50_ns = merged.p50();
     r.p99_ns = merged.p99();
     r.p999_ns = merged.p999();
     r.max_ns = merged.max();
     r.mean_ns = merged.mean();
-    r.windows = q_.windows();
-    r.cross_sends = q_.cross_sends();
+    const auto stats = dom_->stats();
+    r.windows = stats.windows;
+    r.cross_sends = stats.cross_sends;
     if (r.elapsed.ns > 0) {
       r.throughput =
           static_cast<double>(r.completed) / (static_cast<double>(r.elapsed.ns) * 1e-9);
@@ -109,8 +104,6 @@ class engine {
   }
 
  private:
-  [[nodiscard]] unsigned shard_of(unsigned group) const { return group % cfg_.shards; }
-
   /// Interarrival draw with the square-wave burst modulation applied at the
   /// draw's start time.
   std::int64_t draw_interarrival(sim::rng& gen, sim::vtime at) {
@@ -127,10 +120,11 @@ class engine {
   /// heap O(groups) instead of O(total requests).
   void arrival(unsigned g, sim::vtime t) {
     auto& c = clients_[g];
-    const bool remote = groups_.size() > 1 && c.gen.uniform01() < cfg_.remote_ratio;
-    const auto target_off = remote ? 1 + c.gen.below(groups_.size() - 1) : 0;
-    const unsigned lock = static_cast<unsigned>(c.gen.below(cfg_.locks_per_group));
-    const request req{t, draw_ns(c.gen, cfg_.mean_service_us)};
+    auto& gen = dom_->stream(g);
+    const bool remote = groups_.size() > 1 && gen.uniform01() < cfg_.remote_ratio;
+    const auto target_off = remote ? 1 + gen.below(groups_.size() - 1) : 0;
+    const unsigned lock = static_cast<unsigned>(gen.below(cfg_.locks_per_group));
+    const request req{t, draw_ns(gen, cfg_.mean_service_us)};
     if (remote) {
       const unsigned h = static_cast<unsigned>((g + target_off) % groups_.size());
       // Transit == lookahead: the send lands exactly at the horizon — the
@@ -140,15 +134,15 @@ class engine {
       const std::uint64_t origin =
           (static_cast<std::uint64_t>(g) << 32) | c.origin_counter++;
       ++c.remote_requests;
-      const sim::vtime deliver = t + lookahead_;
-      q_.send(shard_of(g), shard_of(h), deliver, origin,
-              [this, h, lock, req, deliver] { arrive(h, lock, req, deliver); });
+      const sim::vtime deliver = t + dom_->lookahead();
+      dom_->send(g, h, deliver, origin,
+                 [this, h, lock, req, deliver] { arrive(h, lock, req, deliver); });
     } else {
       arrive(g, lock, req, t);
     }
     if (--c.remaining > 0) {
-      const sim::vtime next = t + sim::vdur{draw_interarrival(c.gen, t)};
-      q_.schedule_at(shard_of(g), next, [this, g, next] { arrival(g, next); });
+      const sim::vtime next = t + sim::vdur{draw_interarrival(gen, t)};
+      dom_->queue_of(g).schedule_at(next, [this, g, next] { arrival(g, next); });
     }
   }
 
@@ -221,7 +215,7 @@ class engine {
     }
     const sim::vtime end = now + sim::vdur{pre + tax + req.cs_ns};
     const sim::vtime arrival = req.arrival;
-    q_.schedule_at(shard_of(g), end, [this, g, lock, arrival, spin, end] {
+    dom_->queue_of(g).schedule_at(end, [this, g, lock, arrival, spin, end] {
       complete(g, lock, arrival, spin, end);
     });
   }
@@ -242,8 +236,7 @@ class engine {
   }
 
   open_loop_config cfg_;
-  sim::vdur lookahead_;
-  sim::sharded_event_queue q_;
+  std::unique_ptr<sim::event_domain> dom_;
   std::vector<group_state> groups_;
   std::vector<client_state> clients_;
 };

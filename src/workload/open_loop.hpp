@@ -13,12 +13,14 @@
 // queue depth — the regime where the paper's adaptation argument matters most.
 //
 // Scale-out: the machine is a hierarchical NUMA config; each NUMA group owns
-// `locks_per_group` lock-guarded objects and an arrival process, and runs on
-// a `sim::sharded_event_queue` shard (group % shards). Cross-group requests
-// travel through sharded_event_queue::send() with transit exactly equal to
-// the conservative lookahead (machine.min_cross_group_latency()), tagged with
-// the shard-count-invariant origin (group << 32 | counter) — so results are
-// bit-identical for ANY shard count and ANY worker count. The lock dynamics
+// `locks_per_group` lock-guarded objects and an arrival process, and is one
+// place of a `sim::event_domain` (shard = group % shards, shards clamped to
+// the group count). Its arrival draws come from the domain's per-place
+// stream. Cross-group requests travel through event_domain::send() with
+// transit exactly equal to the conservative lookahead
+// (machine.min_cross_group_latency()), tagged with the shard-count-invariant
+// origin (group << 32 | counter) — so results are bit-identical for ANY
+// shard count and ANY worker count. The lock dynamics
 // are a deterministic event-driven model priced from lock_cost_model +
 // machine_config (grant handoffs, spin hot-spot module traffic, adaptive
 // mode switching on params.adapt.waiting_threshold), not the full ct::runtime
@@ -40,8 +42,9 @@ struct open_loop_config {
   locks::lock_params params{};
   locks::lock_cost_model cost = locks::lock_cost_model::butterfly_cthreads();
 
-  /// DES shards (groups are assigned round-robin: shard = group % shards).
-  /// Results are bit-identical at every value; 1 is the sequential queue.
+  /// DES shards (groups are assigned round-robin: shard = group % shards;
+  /// values above the group count are clamped, 0 is rejected). Results are
+  /// bit-identical at every value.
   unsigned shards = 1;
 
   /// Lock-guarded objects per NUMA group.
@@ -57,7 +60,7 @@ struct open_loop_config {
   double mean_service_us = 40.0;
 
   /// Fraction of a group's requests that target a lock in another group
-  /// (these ride sharded_event_queue::send at exactly the lookahead horizon).
+  /// (these ride event_domain::send at exactly the lookahead horizon).
   double remote_ratio = 0.10;
 
   /// Square-wave burst modulation: during every other `burst_period_us`

@@ -53,7 +53,7 @@ TEST(OpenLoop, BitIdenticalAcrossShardCounts) {
   auto cfg = bursty_config();
   cfg.shards = 1;
   const auto ref = run_open_loop(cfg);
-  for (const unsigned shards : {2u, 3u, 8u}) {
+  for (const unsigned shards : {2u, 3u, 8u, 16u}) {
     cfg.shards = shards;
     const auto got = run_open_loop(cfg);
     EXPECT_EQ(got.completed, ref.completed) << "shards=" << shards;
