@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     const auto& row = rows[i];
     ct::runtime rt(machine);
     locks::lock_params params;
-    params.policy = policy::default_spec(policy_name);
+    params.policy = policy::policy_registry::default_spec(policy_name);
     if (row.async) params.policy.with_async(row.period_us);
     auto lk = locks::make_lock(locks::lock_kind::adaptive, 0, cost, params);
 

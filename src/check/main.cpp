@@ -44,7 +44,7 @@ std::vector<std::string> split_list(const std::string& s) {
 }
 
 /// One (fixture, lock, policy, profile) cell of the sweep table. `policy` is
-/// empty for non-adaptive locks and for the default built-in policy.
+/// empty for non-adaptive locks and for the default policy spec.
 struct sweep_cell {
   check::fixture fix;
   locks::lock_kind kind;
@@ -88,9 +88,9 @@ int main(int argc, char** argv) {
                "comma list of fixtures (mutex oversub reconfig broken_lock serve)")
           .str("locks", "all", "comma list of lock kinds, or 'all'")
           .str("policies", "default",
-               "adaptation policies for adaptive locks: 'default' (built-in "
-               "simple-adapt), 'all' (every registered policy), or a comma "
-               "list of policy names")
+               "adaptation policies for adaptive locks: 'default' "
+               "(simple-adapt on the lock's own parameters), 'all' (every "
+               "registered policy), or a comma list of policy names")
           .str("objects", "",
                "adaptive-object check sweeps: empty (none), 'all', or a comma "
                "list of object kinds (hashmap monitor)")
@@ -226,17 +226,20 @@ int main(int argc, char** argv) {
     for (const auto& name : split_list(opt.get_str("profiles"))) {
       profiles.emplace_back(name, sim::parse_perturb_profile(name));
     }
-    // Policy axis: applies to adaptive-kind cells only. "" = the built-in
-    // default; named entries are validated against the registry up front so a
+    // Policy axis: applies to adaptive-kind cells only. "" = the default
+    // spec; named entries are validated against the registry up front so a
     // typo fails fast with the full list (exit 2), not mid-sweep.
     std::vector<std::string> policies;
     if (opt.get_str("policies") == "default") {
       policies.emplace_back();
     } else if (opt.get_str("policies") == "all") {
-      for (auto name : policy::all_policy_names()) policies.emplace_back(name);
+      for (auto name : policy::policy_registry::names(policy::policy_family::lock)) {
+        policies.emplace_back(name);
+      }
     } else {
       for (const auto& name : split_list(opt.get_str("policies"))) {
-        policies.emplace_back(policy::parse_policy_name(name));
+        policies.emplace_back(
+            policy::policy_registry::parse(name, policy::policy_family::lock));
       }
     }
     // Object axis, mirroring --policies' UX: validated up front so a typo
@@ -278,10 +281,10 @@ int main(int argc, char** argv) {
                      .with_perturb(cells[cell].profile)
                      .with_seed(seed_base + seed_index);
       if (!cells[cell].policy.empty()) {
-        p.config.params.policy = policy::default_spec(cells[cell].policy);
+        p.config.params.policy = policy::policy_registry::default_spec(cells[cell].policy);
       }
       // --mode=async routes every adaptive cell's policy (including the
-      // built-in default) through the periodic runtime.
+      // default spec) through the periodic runtime.
       if (mode == policy::exec_mode::async &&
           cells[cell].kind == locks::lock_kind::adaptive) {
         p.config.params.policy.with_async();

@@ -24,9 +24,9 @@ namespace adx::core {
 enum class coupling : std::uint8_t { closely_coupled, loosely_coupled };
 
 /// Per-sensor fold applied by the monitor before an observation is delivered.
-/// This is the object-generic half of the aggregation the lock policy engine
-/// performs internally: any adaptive object (hash map, monitor object, ...)
-/// can register a sensor with smoothing without owning its own aggregator.
+/// This is the only place sensor samples are folded: every adaptive object
+/// (lock, hash map, monitor object) registers its sensors with a fold and
+/// its policy consumes the folded values.
 struct sensor_aggregation {
   enum class kind : std::uint8_t {
     last_value,     ///< the newest sample, unfiltered
@@ -77,6 +77,7 @@ class monitor {
 
   [[nodiscard]] std::size_t sensor_count() const { return sensors_.size(); }
   [[nodiscard]] sensor& sensor_at(std::size_t i) { return sensors_.at(i); }
+  [[nodiscard]] const sensor& sensor_at(std::size_t i) const { return sensors_.at(i); }
 
   /// Diversity factor (§3): the range of distinct data monitored.
   [[nodiscard]] std::size_t diversity() const { return sensors_.size(); }

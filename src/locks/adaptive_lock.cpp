@@ -1,16 +1,15 @@
 #include "locks/adaptive_lock.hpp"
 
-#include <memory>
+#include "policy/registry.hpp"
 
 namespace adx::locks {
 
 adaptive_lock::adaptive_lock(sim::node_id home, lock_cost_model cost,
                              simple_adapt_params params, waiting_policy initial,
+                             const policy::policy_spec& spec,
                              std::unique_ptr<lock_scheduler> sched)
     : reconfigurable_lock(home, cost, initial, std::move(sched)), params_(params) {
-  object_monitor().add_sensor(core::sensor(
-      "no-of-waiting-threads", [this] { return waiting_now(); }, params_.sample_period));
-  set_policy(std::make_shared<simple_adapt_policy>(*this, params_));
+  policy::policy_registry::install(*this, spec, cost_);
 }
 
 ct::task<void> adaptive_lock::post_release_hook(ct::context& ctx) {

@@ -1,6 +1,12 @@
-// Adaptive lock (§4, §5): a reconfigurable lock with a built-in customized
-// monitor and the paper's `simple-adapt` policy, forming the closely-coupled
-// feedback loop executed inline by unlocking threads.
+// Adaptive lock (§4, §5): a reconfigurable lock with a customized monitor
+// and an adaptation policy, forming the closely-coupled feedback loop
+// executed inline by unlocking threads.
+//
+// The constructor installs the lock's `policy_spec` once, through
+// `policy::policy_registry::install`: the spec's sensors go on the lock's
+// monitor (which folds each one with its aggregation) and a
+// `policy::engine` over the registered decision core becomes the policy.
+// The default spec is the paper's `simple-adapt`:
 //
 // Monitor: one sensor, `no-of-waiting-threads`, sampled once during every
 // other unlock operation (period 2 by default).
@@ -17,12 +23,11 @@
 // bench `bench_abl_threshold` sweeps them).
 #pragma once
 
-#include <algorithm>
 #include <string>
 
 #include "core/policy.hpp"
-#include "core/sensor.hpp"
 #include "locks/reconfigurable_lock.hpp"
+#include "policy/spec.hpp"
 
 namespace adx::locks {
 
@@ -45,10 +50,8 @@ struct simple_adapt_params {
 /// The policy interface an adaptive lock drives. The lock's feedback loop is
 /// policy-agnostic: it delivers observations, charges the monitor/policy/Ψ
 /// costs, and asks the installed policy for its identity and most recent
-/// decision when annotating reconfigure events. Concrete policies are the
-/// built-in `simple_adapt_policy` below (the default) and any policy built by
-/// the `adx::policy` engine (src/policy) — which is how one lock class runs
-/// the whole registered policy family.
+/// decision when annotating reconfigure events. The one implementation is
+/// `policy::engine`, built by the policy registry from a `policy_spec`.
 class lock_adapt_policy : public core::adaptation_policy {
  public:
   /// The most recent reconfiguration decision d_c together with the sensor
@@ -65,60 +68,15 @@ class lock_adapt_policy : public core::adaptation_policy {
   [[nodiscard]] virtual const decision_record& last_decision() const = 0;
 };
 
-/// The paper's simple-adapt policy, operating on a reconfigurable lock.
-class simple_adapt_policy final : public lock_adapt_policy {
- public:
-  simple_adapt_policy(reconfigurable_lock& lk, simple_adapt_params p)
-      : lk_(&lk), p_(p) {}
-
-  void observe(const core::observation& obs) override {
-    if (obs.sensor != "no-of-waiting-threads") return;
-    const std::int64_t waiting = obs.value;
-    const auto cur = lk_->current_policy();
-
-    waiting_policy next;
-    if (waiting == 0) {
-      // No contention: configure the lock to be the lowest-latency spin
-      // (unbounded per the paper, or bounded-then-block for multiprogrammed
-      // workloads).
-      next = p_.pure_spin_on_idle ? waiting_policy::pure_spin(p_.spin_cap)
-                                  : waiting_policy::mixed(p_.spin_cap);
-    } else {
-      std::int64_t spins = cur.spin_time;
-      if (waiting <= p_.waiting_threshold) {
-        spins += p_.n;
-      } else {
-        spins -= 2 * p_.n;
-      }
-      spins = std::min(spins, p_.spin_cap);
-      if (spins <= 0) {
-        next = waiting_policy::pure_sleep();  // configure pure blocking
-      } else {
-        next = waiting_policy::mixed(spins);  // spin, then block
-      }
-    }
-    if (next != cur && lk_->apply_waiting_policy(next)) {
-      note_decision();
-      last_ = {waiting, next,
-               "no-of-waiting-threads=" + std::to_string(waiting)};
-    }
-  }
-
-  [[nodiscard]] const simple_adapt_params& params() const { return p_; }
-  [[nodiscard]] std::string_view policy_name() const override { return "simple-adapt"; }
-  [[nodiscard]] const decision_record& last_decision() const override { return last_; }
-
- private:
-  reconfigurable_lock* lk_;
-  simple_adapt_params p_;
-  decision_record last_{};
-};
-
 class adaptive_lock final : public reconfigurable_lock {
  public:
+  /// Installs `spec` through the policy registry. `params` supplies the
+  /// defaults of the spec's knobs and the default sensors' sample period.
+  /// Throws std::invalid_argument on an unknown policy, sensor or wrapper.
   adaptive_lock(sim::node_id home, lock_cost_model cost,
                 simple_adapt_params params = {},
                 waiting_policy initial = waiting_policy::mixed(10),
+                const policy::policy_spec& spec = {},
                 std::unique_ptr<lock_scheduler> sched = nullptr);
 
   [[nodiscard]] std::string_view kind() const override { return "adaptive"; }

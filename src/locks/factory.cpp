@@ -13,7 +13,6 @@
 #include "locks/spin_lock.hpp"
 #include "locks/tas_lock.hpp"
 #include "locks/ticket_lock.hpp"
-#include "policy/registry.hpp"
 
 namespace adx::locks {
 
@@ -78,14 +77,8 @@ std::unique_ptr<lock_object> make_lock(lock_kind kind, sim::node_id home,
     }
     case lock_kind::adaptive: {
       auto lk = std::make_unique<adaptive_lock>(home, cost, params.adapt,
-                                                params.initial_policy);
+                                                params.initial_policy, params.policy);
       lk->attributes().at("grant-mode").set(params.grant_mode);
-      // The default spec keeps the lock's built-in simple-adapt policy (the
-      // constructor already installed it); anything else goes through the
-      // policy registry, which replaces the sensor set and the policy.
-      if (!params.policy.is_default()) {
-        policy::policy_registry::install(*lk, params, cost);
-      }
       return lk;
     }
   }

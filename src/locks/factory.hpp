@@ -43,9 +43,8 @@ struct lock_params {
   /// handoff (paper setting), 1 = release-and-retry (barging; avoids grant
   /// convoys under heavy multiprogramming).
   std::int64_t grant_mode = 0;
-  /// Adaptation policy for adaptive locks. The default spec keeps the lock's
-  /// built-in simple-adapt loop (bit-identical to pre-engine behavior); any
-  /// other spec is instantiated through the adx::policy registry.
+  /// Adaptation policy for adaptive locks, installed by the lock's
+  /// constructor through the adx::policy registry (default: simple-adapt).
   policy::policy_spec policy{};
 
   friend bool operator==(const lock_params&, const lock_params&) = default;

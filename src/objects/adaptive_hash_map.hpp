@@ -36,6 +36,7 @@
 #include "ct/task.hpp"
 #include "locks/factory.hpp"
 #include "objects/object_policy.hpp"
+#include "policy/registry.hpp"
 #include "policy/sensor_host.hpp"
 
 namespace adx::objects {
@@ -89,7 +90,7 @@ struct identity_hash {
 template <typename K, typename V, typename Hash = map_hash<K>>
 class adaptive_hash_map final : public core::adaptive_object,
                                 public policy::sensor_host,
-                                public stripe_controller {
+                                public policy::stripe_controller {
  public:
   explicit adaptive_hash_map(map_config cfg)
       : core::adaptive_object("striped-chaining"), cfg_(validated(std::move(cfg))) {
@@ -104,7 +105,7 @@ class adaptive_hash_map final : public core::adaptive_object,
     }
     buckets_.resize(static_cast<std::size_t>(active_) * bps_);
     attributes().declare("active-stripes", static_cast<std::int64_t>(active_));
-    if (cfg_.adaptive) install_map_policy(*this, *this, *this, cfg_.spec);
+    if (cfg_.adaptive) policy::policy_registry::install(*this, *this, *this, cfg_.spec);
   }
 
   [[nodiscard]] const map_config& config() const { return cfg_; }

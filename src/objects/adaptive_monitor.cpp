@@ -10,7 +10,7 @@ adaptive_monitor::adaptive_monitor(const monitor_config& cfg)
       cfg_(cfg),
       lock_(locks::make_lock(cfg.lock, cfg.home, cfg.cost, cfg.lock_params)) {
   attributes().declare("execution-mode", cfg.initial_mode);
-  if (cfg_.adaptive) install_monitor_policy(*this, *this, *this, cfg_.spec);
+  if (cfg_.adaptive) policy::policy_registry::install(*this, *this, *this, cfg_.spec);
 }
 
 ct::task<void> adaptive_monitor::enter(ct::context& ctx) {

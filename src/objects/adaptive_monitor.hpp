@@ -48,6 +48,7 @@
 #include "locks/condition.hpp"
 #include "locks/factory.hpp"
 #include "objects/object_policy.hpp"
+#include "policy/registry.hpp"
 #include "policy/sensor_host.hpp"
 
 namespace adx::objects {
@@ -69,7 +70,7 @@ struct monitor_config {
 
 class adaptive_monitor final : public core::adaptive_object,
                                public policy::sensor_host,
-                               public mode_controller {
+                               public policy::mode_controller {
  public:
   static constexpr std::int64_t kClassic = 0;
   static constexpr std::int64_t kDelegated = 1;

@@ -1,5 +1,7 @@
 #include "objects/object_policy.hpp"
 
+#include "policy/registry.hpp"
+
 namespace adx::objects {
 
 namespace {
@@ -27,16 +29,6 @@ policy::policy_spec default_map_spec() {
 
 policy::policy_spec default_monitor_spec() {
   return policy::policy_registry::default_spec("mode-adapt");
-}
-
-void install_map_policy(core::adaptive_object& obj, policy::sensor_host& host,
-                        stripe_controller& ctl, const policy::policy_spec& spec) {
-  policy::policy_registry::install(obj, host, ctl, spec);
-}
-
-void install_monitor_policy(core::adaptive_object& obj, policy::sensor_host& host,
-                            mode_controller& ctl, const policy::policy_spec& spec) {
-  policy::policy_registry::install(obj, host, ctl, spec);
 }
 
 }  // namespace adx::objects

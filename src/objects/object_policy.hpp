@@ -1,29 +1,18 @@
-// Object-policy compatibility surface.
+// The adaptive objects' sensor catalogues and default policy specs.
 //
-// The object controllers (stripe_controller, mode_controller) and the
-// stripe-adapt / mode-adapt policy implementations moved down into
-// src/policy so the unified `policy::policy_registry` owns every install
-// path — locks and objects — behind one `policy_spec` schema. This header
-// keeps the objects-namespace names alive: the aliases below and the
-// install_* wrappers are the pre-unification API, deprecated in favour of
-// `policy::policy_registry` (see DESIGN.md's migration note).
+// The object controllers (policy::stripe_controller, policy::mode_controller)
+// and the stripe-adapt / mode-adapt policies live in src/policy, and
+// `policy::policy_registry::install` is the one install path for locks and
+// objects alike. This header names each object's sensors and its default
+// `policy_spec`.
 #pragma once
 
 #include <span>
 #include <string_view>
 
-#include "core/adaptive.hpp"
-#include "policy/controllers.hpp"
-#include "policy/registry.hpp"
-#include "policy/sensor_host.hpp"
 #include "policy/spec.hpp"
 
 namespace adx::objects {
-
-using stripe_controller = policy::stripe_controller;
-using mode_controller = policy::mode_controller;
-using stripe_adapt_params = policy::stripe_adapt_params;
-using mode_adapt_params = policy::mode_adapt_params;
 
 // ---------------------------------------------------------------- hash map
 
@@ -39,10 +28,6 @@ using mode_adapt_params = policy::mode_adapt_params;
 /// map sensors with their canonical periods and aggregations.
 [[nodiscard]] policy::policy_spec default_map_spec();
 
-/// Deprecated wrapper over policy_registry::install (map family).
-void install_map_policy(core::adaptive_object& obj, policy::sensor_host& host,
-                        stripe_controller& ctl, const policy::policy_spec& spec);
-
 // ----------------------------------------------------------------- monitor
 
 /// Names of the adaptive monitor's sensors:
@@ -54,9 +39,5 @@ void install_map_policy(core::adaptive_object& obj, policy::sensor_host& host,
 /// Default declarative spec for the monitor: name "mode-adapt" plus the
 /// three monitor sensors.
 [[nodiscard]] policy::policy_spec default_monitor_spec();
-
-/// Deprecated wrapper over policy_registry::install (monitor family).
-void install_monitor_policy(core::adaptive_object& obj, policy::sensor_host& host,
-                            mode_controller& ctl, const policy::policy_spec& spec);
 
 }  // namespace adx::objects

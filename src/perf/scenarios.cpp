@@ -752,19 +752,20 @@ scenario_result run_abl_threshold() {
 scenario_result run_abl_policy() {
   const double cs_lengths_us[] = {10, 100, 800};
   // The registered policy family plus one wrapped variant; the empty spec is
-  // the built-in simple-adapt loop (the plain-adaptive reference column).
+  // the default simple-adapt (the plain-adaptive reference column).
+  using policy::policy_registry;
   const struct {
     const char* tag;
     policy::policy_spec spec;
   } cols[] = {
       {"simple_adapt", policy::policy_spec{}},
-      {"break_even", policy::default_spec("break-even")},
-      {"ewma_hold", policy::default_spec("ewma-hold")},
-      {"multi_sensor", policy::default_spec("multi-sensor")},
-      {"simple_adapt_hyst", policy::default_spec("simple-adapt").with_hysteresis(2)},
+      {"break_even", policy_registry::default_spec("break-even")},
+      {"ewma_hold", policy_registry::default_spec("ewma-hold")},
+      {"multi_sensor", policy_registry::default_spec("multi-sensor")},
+      {"simple_adapt_hyst", policy_registry::default_spec("simple-adapt").with_hysteresis(2)},
       // Same break-even core at a quarter of the sampling rate: probes the
       // paper's monitoring-overhead tradeoff against the period-2 columns.
-      {"break_even_p8", policy::default_spec("break-even", 8)},
+      {"break_even_p8", policy_registry::default_spec("break-even", 8)},
   };
   scenario_result r;
   for (const auto& col : cols) {
@@ -818,7 +819,7 @@ scenario_result run_abl_async_policy() {
       cfg.think_time = sim::microseconds(3 * cs + 100);
       cfg.kind = locks::lock_kind::adaptive;
       cfg.params.adapt = {2, 25, 50, 2};
-      cfg.params.policy = policy::default_spec("break-even");
+      cfg.params.policy = policy::policy_registry::default_spec("break-even");
       if (col.async) cfg.params.policy.with_async();
       const auto res = run_cs_workload(cfg);
       col_ms += res.elapsed.ms();

@@ -1,38 +1,9 @@
 #include "policy/engine.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdlib>
 #include <utility>
 
 namespace adx::policy {
-
-// ---------------------------------------------------------------- aggregator
-
-aggregator::aggregator(const sensor_spec& s)
-    : agg_(s.agg), alpha_(s.ewma_alpha), window_(s.window == 0 ? 1 : s.window) {}
-
-std::int64_t aggregator::feed(std::int64_t raw) {
-  switch (agg_) {
-    case aggregation::last_value:
-      value_ = raw;
-      break;
-    case aggregation::ewma:
-      if (!primed_) {
-        ewma_ = static_cast<double>(raw);
-        primed_ = true;
-      } else {
-        ewma_ = alpha_ * static_cast<double>(raw) + (1.0 - alpha_) * ewma_;
-      }
-      value_ = static_cast<std::int64_t>(std::llround(ewma_));
-      break;
-    case aggregation::max_in_window:
-      recent_.push_back(raw);
-      if (recent_.size() > window_) recent_.pop_front();
-      value_ = *std::max_element(recent_.begin(), recent_.end());
-      break;
-  }
-  return value_;
-}
 
 // ---------------------------------------------------------------- combinators
 
@@ -48,9 +19,8 @@ class hysteresis_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return name_; }
 
   std::optional<locks::waiting_policy> decide(const core::observation& obs,
-                                              std::int64_t value,
                                               const locks::waiting_policy& cur) override {
-    auto want = inner_->decide(obs, value, cur);
+    auto want = inner_->decide(obs, cur);
     if (!want) {
       streak_ = 0;
       return std::nullopt;
@@ -95,9 +65,8 @@ class deadband_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return name_; }
 
   std::optional<locks::waiting_policy> decide(const core::observation& obs,
-                                              std::int64_t value,
                                               const locks::waiting_policy& cur) override {
-    auto want = inner_->decide(obs, value, cur);
+    auto want = inner_->decide(obs, cur);
     if (!want) return std::nullopt;
     // Shape changes (spin↔block) always pass; small spin-time nudges within
     // the band are suppressed — they cost a Ψ (1R+1W + configure overhead)
@@ -127,11 +96,10 @@ class cooldown_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return name_; }
 
   std::optional<locks::waiting_policy> decide(const core::observation& obs,
-                                              std::int64_t value,
                                               const locks::waiting_policy& cur) override {
     // The inner core still sees every observation (its state advances), but
     // its decisions are discarded while the cooldown runs.
-    auto want = inner_->decide(obs, value, cur);
+    auto want = inner_->decide(obs, cur);
     if (remaining_ > 0) {
       --remaining_;
       return std::nullopt;
@@ -171,38 +139,36 @@ std::unique_ptr<decision_core> wrap_cooldown(std::unique_ptr<decision_core> inne
 // -------------------------------------------------------------------- engine
 
 engine::engine(locks::reconfigurable_lock& lk, std::string spec_name,
-               std::unique_ptr<decision_core> core, std::vector<sensor_spec> sensors)
-    : lk_(&lk), name_(std::move(spec_name)), core_(std::move(core)),
-      specs_(std::move(sensors)) {
-  aggs_.reserve(specs_.size());
-  for (const auto& s : specs_) aggs_.emplace_back(s);
-}
+               std::unique_ptr<decision_core> core)
+    : lk_(&lk), name_(std::move(spec_name)), core_(std::move(core)) {}
 
 void engine::observe(const core::observation& obs) {
-  std::int64_t value = obs.value;
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].name == obs.sensor) {
-      value = aggs_[i].feed(obs.value);
+  const auto& m = lk_->object_monitor();
+  seen_.resize(m.sensor_count());
+  for (std::size_t i = 0; i < seen_.size(); ++i) {
+    if (m.sensor_at(i).name() == obs.sensor) {
+      seen_[i] = obs.value;
       break;
     }
   }
   const auto cur = lk_->current_policy();
-  auto want = core_->decide(obs, value, cur);
+  auto want = core_->decide(obs, cur);
   if (!want || *want == cur) return;
   if (lk_->apply_waiting_policy(*want)) {
     note_decision();
     core_->notify_applied();
-    last_ = {value, *want, render_sensor_vector()};
+    last_ = {obs.value, *want, render_sensor_vector()};
   }
 }
 
 std::string engine::render_sensor_vector() const {
+  const auto& m = lk_->object_monitor();
   std::string out;
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
+  for (std::size_t i = 0; i < seen_.size(); ++i) {
     if (!out.empty()) out += ' ';
-    out += specs_[i].name;
+    out += m.sensor_at(i).name();
     out += '=';
-    out += std::to_string(aggs_[i].value());
+    out += std::to_string(seen_[i]);
   }
   return out;
 }

@@ -3,22 +3,20 @@
 //
 // Structure of a built policy:
 //
-//   observation ──> aggregator (per sensor) ──> decision core ──> wrappers
-//                   last-value / ewma /          the policy P      hysteresis /
-//                   max-in-window                (P of §3)         deadband /
-//                                                                  cooldown
-//                                          ──> apply_waiting_policy (Ψ)
+//   lock monitor M ──> decision core ──> wrappers ──> apply_waiting_policy (Ψ)
+//   folds each sensor:  the policy P     hysteresis /
+//   last-value / ewma / (P of §3)        deadband /
+//   max-in-window                        cooldown
 //
-// The engine is the glue: it owns per-sensor aggregators, feeds the folded
-// values to the decision core, filters the core's desired configuration
-// through the wrapper stack, and applies the survivor to the lock — recording
-// the decision (sensor value, applied Ψ, full sensor vector) for the obs
-// reconfigure annotation. The lock's feedback loop itself is unchanged; it
-// just drives this policy object instead of the built-in one.
+// The monitor samples and folds the sensors; the engine only decides. It
+// hands each folded observation to the decision core, filters the core's
+// desired configuration through the wrapper stack, and applies the survivor
+// to the lock — recording the decision (sensor value, applied Ψ, and the
+// folded sensor vector as delivered so far) for the obs reconfigure
+// annotation.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,46 +26,22 @@
 #include "core/sensor.hpp"
 #include "locks/adaptive_lock.hpp"
 #include "locks/reconfigurable_lock.hpp"
-#include "policy/spec.hpp"
 
 namespace adx::policy {
 
-/// Folds a sensor's raw samples into the value the decision core sees.
-/// Integer-valued throughout: ewma keeps a double accumulator but reports a
-/// rounded int64 so decisions stay platform-independent.
-class aggregator {
- public:
-  explicit aggregator(const sensor_spec& s);
-
-  /// Feeds one raw sample; returns the aggregated value.
-  std::int64_t feed(std::int64_t raw);
-
-  [[nodiscard]] std::int64_t value() const { return value_; }
-
- private:
-  aggregation agg_;
-  double alpha_;
-  std::uint64_t window_;
-  bool primed_{false};
-  double ewma_{0.0};
-  std::deque<std::int64_t> recent_;
-  std::int64_t value_{0};
-};
-
-/// A policy core: maps (aggregated observation, current configuration) to a
+/// A policy core: maps (folded observation, current configuration) to a
 /// desired configuration, or nothing to leave the lock alone. Cores are pure
-/// decision logic — sensor plumbing, wrapper filtering and Ψ application all
-/// live in the engine.
+/// decision logic — sensor folding lives in the monitor, wrapper filtering
+/// and Ψ application in the engine.
 class decision_core {
  public:
   virtual ~decision_core() = default;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// `value` is the aggregated reading of the sensor named in `obs`.
+  /// `obs.value` is the monitor's folded reading of the sensor `obs.sensor`.
   [[nodiscard]] virtual std::optional<locks::waiting_policy> decide(
-      const core::observation& obs, std::int64_t value,
-      const locks::waiting_policy& current) = 0;
+      const core::observation& obs, const locks::waiting_policy& current) = 0;
 
   /// Called after a decision of this core was actually applied to the lock
   /// (post-wrapper). Lets cores that model state (e.g. cooldown-like logic)
@@ -86,11 +60,11 @@ class decision_core {
     std::unique_ptr<decision_core> inner, std::uint64_t observations);
 
 /// The runtime policy installed on an adaptive lock: drives the wrapped core
-/// from aggregated sensor values and applies its decisions.
+/// from the lock monitor's folded observations and applies its decisions.
 class engine final : public locks::lock_adapt_policy {
  public:
   engine(locks::reconfigurable_lock& lk, std::string spec_name,
-         std::unique_ptr<decision_core> core, std::vector<sensor_spec> sensors);
+         std::unique_ptr<decision_core> core);
 
   void observe(const core::observation& obs) override;
 
@@ -103,8 +77,12 @@ class engine final : public locks::lock_adapt_policy {
   locks::reconfigurable_lock* lk_;
   std::string name_;
   std::unique_ptr<decision_core> core_;
-  std::vector<sensor_spec> specs_;       // parallel to aggs_
-  std::vector<aggregator> aggs_;
+  /// The last folded value delivered per monitor sensor (parallel to the
+  /// lock monitor's sensors). The record renders these, not the monitor's
+  /// own aggregates: the monitor folds every sensor of a trigger before
+  /// delivering the first, and a loosely-coupled queue runs further ahead,
+  /// so its aggregates can hold values the core has not seen yet.
+  std::vector<std::int64_t> seen_;
   decision_record last_{};
 };
 

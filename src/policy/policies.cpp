@@ -44,10 +44,9 @@ class simple_adapt_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return "simple-adapt"; }
 
   std::optional<waiting_policy> decide(const core::observation& obs,
-                                       std::int64_t value,
                                        const waiting_policy& cur) override {
     if (obs.sensor != "no-of-waiting-threads") return std::nullopt;
-    const std::int64_t waiting = value;
+    const std::int64_t waiting = obs.value;
     if (waiting == 0) {
       return pure_spin_on_idle_ ? waiting_policy::pure_spin(spin_cap_)
                                 : waiting_policy::mixed(spin_cap_);
@@ -84,17 +83,16 @@ class break_even_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return "break-even"; }
 
   std::optional<waiting_policy> decide(const core::observation& obs,
-                                       std::int64_t value,
                                        const waiting_policy& /*cur*/) override {
     if (obs.sensor == "lock-hold-time") {
-      hold_us_ = static_cast<double>(value);
+      hold_us_ = static_cast<double>(obs.value);
       return std::nullopt;
     }
     if (obs.sensor != "no-of-waiting-threads") return std::nullopt;
-    const auto waiting = static_cast<double>(value);
+    const auto waiting = static_cast<double>(obs.value);
     // Spin budget: just enough iterations to cover the break-even window.
     const auto spins = clamp_spins(break_even_us_ / spin_pause_us_, spin_cap_);
-    if (value == 0) return waiting_policy::mixed(spins);
+    if (obs.value == 0) return waiting_policy::mixed(spins);
     // Expected wait = queue depth × smoothed hold time. Below break-even a
     // spinner wins; above it the block/unblock round trip is cheaper.
     const double expected_wait_us = waiting * hold_us_;
@@ -124,13 +122,12 @@ class ewma_hold_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return "ewma-hold"; }
 
   std::optional<waiting_policy> decide(const core::observation& obs,
-                                       std::int64_t value,
                                        const waiting_policy& /*cur*/) override {
     if (obs.sensor != "lock-hold-time") return std::nullopt;
-    if (value <= 0) return std::nullopt;  // no completed hold observed yet
+    if (obs.value <= 0) return std::nullopt;  // no completed hold observed yet
     // Spin long enough to cover one smoothed critical section; a section the
     // cap cannot cover means waiters should block instead of burn the cap.
-    const double spins = std::ceil(static_cast<double>(value) / spin_pause_us_);
+    const double spins = std::ceil(static_cast<double>(obs.value) / spin_pause_us_);
     if (spins > static_cast<double>(spin_cap_)) return waiting_policy::pure_sleep();
     return waiting_policy::mixed(clamp_spins(spins, spin_cap_));
   }
@@ -156,17 +153,16 @@ class multi_sensor_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return "multi-sensor"; }
 
   std::optional<waiting_policy> decide(const core::observation& obs,
-                                       std::int64_t value,
                                        const waiting_policy& /*cur*/) override {
     if (obs.sensor == "lock-hold-time") {
-      hold_us_ = static_cast<double>(value);
+      hold_us_ = static_cast<double>(obs.value);
       return std::nullopt;
     }
     if (obs.sensor != "no-of-waiting-threads") return std::nullopt;
-    if (value == 0) return waiting_policy::mixed(spin_cap_);
+    if (obs.value == 0) return waiting_policy::mixed(spin_cap_);
     // Spin only when both signals agree it is cheap: a short queue AND short
     // sections. A deep queue or a long hold alone flips the lock to blocking.
-    const bool short_queue = value <= threshold_;
+    const bool short_queue = obs.value <= threshold_;
     const bool short_holds = hold_us_ <= spin_budget_us_;
     if (!short_queue || !short_holds) return waiting_policy::pure_sleep();
     const double cover_us = std::max(hold_us_, spin_pause_us_);

@@ -13,8 +13,8 @@
 
 namespace adx::policy {
 
-/// The paper's §4 rule, identical in behavior to the lock's built-in
-/// `simple_adapt_policy`. Knobs: waiting_threshold, n, spin_cap,
+/// The paper's §4 rule, the adaptive lock's default policy (see
+/// locks/adaptive_lock.hpp). Knobs: waiting_threshold, n, spin_cap,
 /// pure_spin_on_idle (0/1).
 [[nodiscard]] std::unique_ptr<decision_core> make_simple_adapt_core(
     const policy_spec& spec, const locks::simple_adapt_params& defaults,

@@ -317,34 +317,29 @@ policy_spec policy_registry::default_spec(std::string_view name,
   const auto& e = find_entry(name);
   policy_spec spec;
   spec.name = std::string(e.info.name);
-  // simple-adapt with empty sensors IS the default spec: the factory then
-  // keeps the lock's built-in policy, which this registry must not disturb.
+  // simple-adapt keeps empty sensors so the spec stays is_default(); install
+  // fills in the same single sensor at the lock's own sample period.
   if (spec.name != "simple-adapt") {
     spec.sensors = default_sensors(e, sample_period);
   }
   return spec;
 }
 
-void policy_registry::install(locks::adaptive_lock& lk,
-                              const locks::lock_params& params,
+void policy_registry::install(locks::adaptive_lock& lk, const policy_spec& spec,
                               const locks::lock_cost_model& cost) {
-  const auto& spec = params.policy;
   const auto& entry = find_entry(spec.name);
 
-  auto sensors = spec.sensors.empty()
-                     ? default_sensors(entry, params.adapt.sample_period)
-                     : spec.sensors;
+  const auto sensors = spec.sensors.empty()
+                           ? default_sensors(entry, lk.adapt_params().sample_period)
+                           : spec.sensors;
 
-  // The spec's monitor replaces the lock's built-in one (which carried only
-  // the hard-wired waiting-count sensor), through the object-generic path.
-  // The engine aggregates observations itself, so the monitor registers the
-  // sensors unfolded (fold_in_monitor = false keeps decisions bit-identical
-  // to the pre-sensor_host wiring).
+  // The spec's sensors replace the lock monitor's, through the
+  // object-generic path; the monitor folds them, the engine only decides.
   lock_sensor_host host(lk);
-  install_sensors(lk, host, sensors, /*fold_in_monitor=*/false);
+  install_sensors(lk, host, sensors);
   apply_exec_mode(lk, spec);
 
-  auto core = entry.make(spec, params.adapt, cost);
+  auto core = entry.make(spec, lk.adapt_params(), cost);
   // Wrappers are listed outermost-first; build inside-out.
   for (auto it = spec.wrappers.rbegin(); it != spec.wrappers.rend(); ++it) {
     if (it->kind == "hysteresis") {
@@ -360,8 +355,7 @@ void policy_registry::install(locks::adaptive_lock& lk,
   }
 
   std::string full_name(core->name());
-  lk.set_policy(std::make_shared<engine>(lk, std::move(full_name), std::move(core),
-                                         std::move(sensors)));
+  lk.set_policy(std::make_shared<engine>(lk, std::move(full_name), std::move(core)));
 }
 
 void policy_registry::install(core::adaptive_object& obj, sensor_host& host,
@@ -394,37 +388,6 @@ void policy_registry::install(core::adaptive_object& obj, sensor_host& host,
   p.confirm = static_cast<std::uint64_t>(param_or(spec, "confirm", 2));
   p.cooldown = static_cast<std::uint64_t>(param_or(spec, "cooldown", 4));
   obj.set_policy(std::make_shared<mode_adapt_policy>(ctl, p));
-}
-
-// ------------------------------------------------------- legacy wrappers
-
-std::span<const policy_info> all_policies() {
-  static const std::vector<policy_info> infos = [] {
-    std::vector<policy_info> v;
-    for (const auto& e : kRegistry) v.push_back(e.info);
-    return v;
-  }();
-  return infos;
-}
-
-std::vector<std::string_view> all_policy_names() {
-  std::vector<std::string_view> names;
-  for (const auto& e : kRegistry) names.push_back(e.info.name);
-  return names;
-}
-
-std::string_view parse_policy_name(std::string_view name) {
-  return find_entry(name).info.name;
-}
-
-policy_spec default_spec(std::string_view name, std::uint64_t sample_period) {
-  (void)find_entry(name);  // lock-family validation (and its error UX)
-  return policy_registry::default_spec(name, sample_period);
-}
-
-void install(locks::adaptive_lock& lk, const locks::lock_params& params,
-             const locks::lock_cost_model& cost) {
-  policy_registry::install(lk, params, cost);
 }
 
 }  // namespace adx::policy

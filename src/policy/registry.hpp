@@ -4,8 +4,8 @@
 //
 // One class owns every install path:
 //   - lock family   (simple-adapt, break-even, ewma-hold, multi-sensor):
-//     installed on a `locks::adaptive_lock` — the layer `locks::factory`
-//     calls through and the sweep axis for adx-check (`--policies=all`).
+//     installed on a `locks::adaptive_lock` by its constructor, and the
+//     sweep axis for adx-check (`--policies=all`).
 //   - map family    (stripe-adapt): installed on anything exposing a
 //     `stripe_controller` (the adaptive hash map).
 //   - monitor family (mode-adapt): installed on anything exposing a
@@ -16,10 +16,6 @@
 // at feedback points; `async` switches the object's monitor to loose
 // coupling so observations queue for the periodic policy runtime,
 // `policy::async_runtime`, and the fast path carries zero policy cost).
-//
-// The free functions at the bottom (`install`, `all_policies`, ...) are the
-// pre-unification surface kept as thin wrappers; new code should call
-// `policy_registry` directly.
 #pragma once
 
 #include <span>
@@ -29,7 +25,6 @@
 #include "core/adaptive.hpp"
 #include "locks/adaptive_lock.hpp"
 #include "locks/cost_model.hpp"
-#include "locks/factory.hpp"
 #include "policy/controllers.hpp"
 #include "policy/sensor_host.hpp"
 #include "policy/spec.hpp"
@@ -73,17 +68,21 @@ class policy_registry {
   /// The canonical spec for a registered policy of any family: its name
   /// plus its default sensor set. For the lock family, sensor periods come
   /// from `sample_period`; for "simple-adapt" the sensors vector is left
-  /// empty so the spec stays `is_default()` and the lock factory keeps the
-  /// built-in bit-identical path.
+  /// empty so the spec stays `is_default()` (install then takes the period
+  /// from the lock's own `simple_adapt_params`). Throws
+  /// std::invalid_argument listing the lock family's names on unknown input.
   [[nodiscard]] static policy_spec default_spec(std::string_view name,
                                                 std::uint64_t sample_period = 2);
 
-  /// Installs the lock-family policy described by `params.policy` on `lk`:
+  /// Installs the lock-family policy `spec` on `lk` — the one path every
+  /// adaptive lock's policy comes through (its constructor calls this):
   /// replaces the monitor's sensor set with the spec's (falling back to the
-  /// policy's default sensors), builds the wrapped decision core, and sets
-  /// it as the lock's adaptation policy. Throws std::invalid_argument on
-  /// unknown policy, sensor or wrapper names.
-  static void install(locks::adaptive_lock& lk, const locks::lock_params& params,
+  /// policy's default sensors at `lk.adapt_params().sample_period`), builds
+  /// the wrapped decision core with `lk.adapt_params()` and `cost` as knob
+  /// defaults, and sets an `engine` over it as the lock's adaptation policy.
+  /// Throws std::invalid_argument on unknown policy, sensor or wrapper names
+  /// and on the bad sensor lists `install_sensors` rejects.
+  static void install(locks::adaptive_lock& lk, const policy_spec& spec,
                       const locks::lock_cost_model& cost);
 
   /// Installs a map-family policy ("stripe-adapt") driving `ctl`, with
@@ -95,25 +94,5 @@ class policy_registry {
   static void install(core::adaptive_object& obj, sensor_host& host,
                       mode_controller& ctl, const policy_spec& spec);
 };
-
-// ------------------------------------------------------- legacy wrappers
-// The pre-unification lock-family surface. Deprecated: call
-// `policy_registry` directly (see DESIGN.md's migration note).
-
-/// Every lock-family policy, in registration order.
-[[nodiscard]] std::span<const policy_info> all_policies();
-[[nodiscard]] std::vector<std::string_view> all_policy_names();
-
-/// Validates a lock-family policy name; throws std::invalid_argument
-/// listing every registered name on unknown input.
-[[nodiscard]] std::string_view parse_policy_name(std::string_view name);
-
-/// policy_registry::default_spec restricted to the lock family.
-[[nodiscard]] policy_spec default_spec(std::string_view name,
-                                       std::uint64_t sample_period = 2);
-
-/// policy_registry::install for locks (the factory's historical entry).
-void install(locks::adaptive_lock& lk, const locks::lock_params& params,
-             const locks::lock_cost_model& cost);
 
 }  // namespace adx::policy

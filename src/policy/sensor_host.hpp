@@ -41,15 +41,14 @@ class sensor_host {
 [[nodiscard]] core::sensor_aggregation to_core_aggregation(const sensor_spec& s);
 
 /// Replaces `obj`'s monitor sensors with `specs`, each built by `host` and
-/// registered with its spec's aggregation fold. Validation happens before the
-/// first sensor is installed: on an unknown name the monitor is untouched.
-///
-/// `fold_in_monitor = false` registers every sensor unfolded (last-value):
-/// the lock policy engine predates the core-level folds and keeps its own
-/// aggregators for bit-compatible decision records, so the lock install path
-/// must not fold twice. Object-level policies (hash map, monitor object)
-/// use the default and consume monitor-aggregated observations directly.
+/// registered with its spec's aggregation fold — the monitor is the only
+/// place samples are folded, so every policy sees folded observations.
+/// The whole list is validated before the monitor is touched; each of these
+/// throws std::invalid_argument and leaves the monitor as it was:
+///   - a name `host` does not expose ("unknown sensor: X (valid: ...)");
+///   - a name listed twice ("duplicate sensor: X"): each sensor has one fold;
+///   - an ewma sensor whose `ewma_alpha` is outside (0, 1].
 void install_sensors(core::adaptive_object& obj, sensor_host& host,
-                     std::span<const sensor_spec> specs, bool fold_in_monitor = true);
+                     std::span<const sensor_spec> specs);
 
 }  // namespace adx::policy

@@ -8,10 +8,11 @@
 // records which policy it ran), buildable fluently, comparable for equality.
 //
 // This header is deliberately dependency-free (stdlib + the obs JSON
-// helpers): `locks::lock_params` embeds a policy_spec without the locks
-// library depending on the policy *engine*. The engine — the registry,
-// sensor sources, decision cores and combinators that turn a spec into a
-// running policy — lives above locks in src/policy/{registry,engine,...}.
+// helpers), so `locks::lock_params` can embed a policy_spec by value. The
+// engine — the registry, sensor sources, decision cores and combinators
+// that turn a spec into a running policy — lives in
+// src/policy/{registry,engine,...}; the adaptive lock reaches it through a
+// single call, `policy_registry::install`, from its constructor.
 #pragma once
 
 #include <charconv>
@@ -116,8 +117,7 @@ struct wrapper_spec {
 
 struct policy_spec {
   /// Registered policy name. "simple-adapt" with no params/sensors/wrappers
-  /// is the default and preserves the built-in adaptive-lock behavior
-  /// bit-for-bit.
+  /// is the default: the paper's §4 rule on the lock's own parameters.
   std::string name = "simple-adapt";
   /// Policy-specific numeric knobs; absent keys take the policy's defaults
   /// (for simple-adapt, the lock's `simple_adapt_params`).
@@ -139,10 +139,9 @@ struct policy_spec {
 
   friend bool operator==(const policy_spec&, const policy_spec&) = default;
 
-  /// True for the spec value that means "the built-in simple-adapt loop with
-  /// the lock's own parameters" — the factory's bit-identical fast path.
-  /// Any async spec is non-default: even async simple-adapt must go through
-  /// the engine so the runtime can drain its queued observations.
+  /// True for the spec value that means "simple-adapt with the lock's own
+  /// parameters", which serializers omit or label as the default. Any
+  /// async or coordinated spec is non-default.
   [[nodiscard]] bool is_default() const {
     return name == "simple-adapt" && params.empty() && sensors.empty() &&
            wrappers.empty() && mode == exec_mode::sync && !coordinate;

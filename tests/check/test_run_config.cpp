@@ -29,16 +29,16 @@ TEST(RunConfig, CustomizedConfigRoundTripsThroughJson) {
 }
 
 TEST(RunConfig, EveryRegisteredPolicySpecRoundTripsThroughJson) {
-  for (const auto name : policy::all_policy_names()) {
+  for (const auto name : policy::policy_registry::names(policy::policy_family::lock)) {
     auto rc = run_config{}.with_lock(locks::lock_kind::adaptive);
-    rc.params.policy = policy::default_spec(name, 3);
+    rc.params.policy = policy::policy_registry::default_spec(name, 3);
     EXPECT_EQ(run_config::from_json(rc.to_json()), rc) << name;
   }
 }
 
 TEST(RunConfig, WrappedPolicySpecRoundTripsThroughJson) {
   auto rc = run_config{}.with_lock(locks::lock_kind::adaptive);
-  rc.params.policy = policy::default_spec("break-even")
+  rc.params.policy = policy::policy_registry::default_spec("break-even")
                          .with_param("break_even_us", 120.25)
                          .with_hysteresis(3)
                          .with_deadband(16)

@@ -66,11 +66,11 @@ TEST(ParallelRuns, PolicySweepMatchesSequentialBitForBit) {
   // policy (plus a wrapped variant), fanned out across workers.
   std::vector<workload::cs_config> grid;
   std::vector<policy::policy_spec> specs;
-  specs.emplace_back();  // built-in simple-adapt
-  for (const auto name : policy::all_policy_names()) {
-    specs.push_back(policy::default_spec(name));
+  specs.emplace_back();  // the default simple-adapt
+  for (const auto name : policy::policy_registry::names(policy::policy_family::lock)) {
+    specs.push_back(policy::policy_registry::default_spec(name));
   }
-  specs.push_back(policy::default_spec("break-even").with_hysteresis(2));
+  specs.push_back(policy::policy_registry::default_spec("break-even").with_hysteresis(2));
   for (const auto& spec : specs) {
     workload::cs_config cfg;
     cfg.processors = 4;

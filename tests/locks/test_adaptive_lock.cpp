@@ -207,13 +207,18 @@ TEST(AdaptiveLock, KindString) {
   EXPECT_EQ(lk.kind(), "adaptive");
 }
 
+// The adaptive lock's default policy is the registry-built simple-adapt;
+// these drive it directly, outside the lock's feedback loop.
 TEST(SimpleAdaptPolicy, FollowsPaperPseudocode) {
-  reconfigurable_lock lk(0, cost(), waiting_policy::mixed(30));
   simple_adapt_params p;
   p.waiting_threshold = 4;
   p.n = 10;
   p.spin_cap = 100;
-  simple_adapt_policy pol(lk, p);
+  adaptive_lock lk(0, cost(), p, waiting_policy::mixed(30));
+  auto& pol = *lk.policy();
+  const auto* named = dynamic_cast<const lock_adapt_policy*>(&pol);
+  ASSERT_NE(named, nullptr);
+  EXPECT_EQ(named->policy_name(), "simple-adapt");
 
   // waiting == 0 -> pure spin at cap.
   pol.observe({"no-of-waiting-threads", 0});
@@ -237,11 +242,10 @@ TEST(SimpleAdaptPolicy, FollowsPaperPseudocode) {
 }
 
 TEST(SimpleAdaptPolicy, IgnoresForeignSensors) {
-  reconfigurable_lock lk(0, cost(), waiting_policy::mixed(30));
-  simple_adapt_policy pol(lk, {});
-  pol.observe({"some-other-sensor", 99});
+  adaptive_lock lk(0, cost(), {}, waiting_policy::mixed(30));
+  lk.policy()->observe({"some-other-sensor", 99});
   EXPECT_EQ(lk.current_policy(), waiting_policy::mixed(30));
-  EXPECT_EQ(pol.decisions(), 0u);
+  EXPECT_EQ(lk.policy()->decisions(), 0u);
 }
 
 }  // namespace

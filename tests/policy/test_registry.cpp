@@ -10,38 +10,42 @@ namespace {
 
 locks::lock_cost_model cost() { return locks::lock_cost_model::fast_test(); }
 
+std::vector<std::string_view> lock_policies() {
+  return policy_registry::names(policy_family::lock);
+}
+
 TEST(Registry, ListsTheFourBuiltinPolicies) {
-  const auto names = all_policy_names();
+  const auto names = lock_policies();
   ASSERT_EQ(names.size(), 4u);
   EXPECT_EQ(names[0], "simple-adapt");
   EXPECT_EQ(names[1], "break-even");
   EXPECT_EQ(names[2], "ewma-hold");
   EXPECT_EQ(names[3], "multi-sensor");
-  for (const auto& info : all_policies()) {
+  for (const auto& info : policy_registry::catalogue()) {
     EXPECT_FALSE(info.description.empty()) << info.name;
   }
 }
 
 TEST(Registry, ParseErrorListsTheValidPolicies) {
   try {
-    (void)parse_policy_name("fancy-adapt");
+    (void)policy_registry::parse("fancy-adapt", policy_family::lock);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("fancy-adapt"), std::string::npos);
-    for (const auto name : all_policy_names()) {
+    for (const auto name : lock_policies()) {
       EXPECT_NE(msg.find(std::string(name)), std::string::npos) << name;
     }
   }
 }
 
 TEST(Registry, DefaultSpecOfSimpleAdaptIsTheDefault) {
-  // Keeps the factory on the built-in bit-identical path.
-  EXPECT_TRUE(default_spec("simple-adapt").is_default());
+  // Empty sensors: install takes the sample period from the lock itself.
+  EXPECT_TRUE(policy_registry::default_spec("simple-adapt").is_default());
 }
 
 TEST(Registry, DefaultSpecsCarryTheirSensors) {
-  const auto be = default_spec("break-even", 4);
+  const auto be = policy_registry::default_spec("break-even", 4);
   ASSERT_EQ(be.sensors.size(), 2u);
   EXPECT_EQ(be.sensors[0].name, "no-of-waiting-threads");
   EXPECT_EQ(be.sensors[0].period, 4u);
@@ -49,16 +53,14 @@ TEST(Registry, DefaultSpecsCarryTheirSensors) {
   EXPECT_EQ(be.sensors[1].name, "lock-hold-time");
   EXPECT_EQ(be.sensors[1].agg, aggregation::ewma);
 
-  const auto eh = default_spec("ewma-hold");
+  const auto eh = policy_registry::default_spec("ewma-hold");
   ASSERT_EQ(eh.sensors.size(), 1u);
   EXPECT_EQ(eh.sensors[0].name, "lock-hold-time");
 }
 
 TEST(Registry, InstallReplacesSensorsAndPolicy) {
   locks::adaptive_lock lk(0, cost());
-  locks::lock_params params;
-  params.policy = default_spec("break-even");
-  install(lk, params, cost());
+  policy_registry::install(lk, policy_registry::default_spec("break-even"), cost());
   ASSERT_EQ(lk.object_monitor().sensor_count(), 2u);
   EXPECT_EQ(lk.object_monitor().sensor_at(0).name(), "no-of-waiting-threads");
   EXPECT_EQ(lk.object_monitor().sensor_at(1).name(), "lock-hold-time");
@@ -69,9 +71,9 @@ TEST(Registry, InstallReplacesSensorsAndPolicy) {
 
 TEST(Registry, InstallAppliesWrappersOutermostFirst) {
   locks::adaptive_lock lk(0, cost());
-  locks::lock_params params;
-  params.policy = default_spec("ewma-hold").with_hysteresis(2).with_cooldown(3);
-  install(lk, params, cost());
+  policy_registry::install(
+      lk, policy_registry::default_spec("ewma-hold").with_hysteresis(2).with_cooldown(3),
+      cost());
   const auto* p = dynamic_cast<const locks::lock_adapt_policy*>(lk.policy());
   ASSERT_NE(p, nullptr);
   // Wrapper names accumulate inside-out: cooldown is innermost-applied last
@@ -81,14 +83,18 @@ TEST(Registry, InstallAppliesWrappersOutermostFirst) {
 
 TEST(Registry, InstallRejectsUnknownPolicy) {
   locks::adaptive_lock lk(0, cost());
-  locks::lock_params params;
-  params.policy.name = "fancy-adapt";
-  EXPECT_THROW(install(lk, params, cost()), std::invalid_argument);
+  EXPECT_THROW(
+      policy_registry::install(lk, policy_spec{}.with_name("fancy-adapt"), cost()),
+      std::invalid_argument);
+  // The constructor's install path rejects it the same way.
+  EXPECT_THROW(locks::adaptive_lock(0, cost(), {}, locks::waiting_policy::mixed(10),
+                                    policy_spec{}.with_name("fancy-adapt")),
+               std::invalid_argument);
 }
 
 TEST(Registry, MakeLockRoutesNonDefaultSpecsThroughTheEngine) {
   locks::lock_params params;
-  params.policy = default_spec("multi-sensor");
+  params.policy = policy_registry::default_spec("multi-sensor");
   const auto lk = locks::make_lock(locks::lock_kind::adaptive, 0, cost(), params);
   auto* al = dynamic_cast<locks::adaptive_lock*>(lk.get());
   ASSERT_NE(al, nullptr);
@@ -102,8 +108,12 @@ TEST(Registry, MakeLockDefaultSpecKeepsTheBuiltinPolicy) {
   const auto lk = locks::make_lock(locks::lock_kind::adaptive, 0, cost(), {});
   auto* al = dynamic_cast<locks::adaptive_lock*>(lk.get());
   ASSERT_NE(al, nullptr);
-  // The built-in simple_adapt_policy, not an engine instance.
-  EXPECT_NE(dynamic_cast<const locks::simple_adapt_policy*>(al->policy()), nullptr);
+  // The registered simple-adapt, built by the engine like every other spec.
+  const auto* eng = dynamic_cast<const engine*>(al->policy());
+  ASSERT_NE(eng, nullptr);
+  EXPECT_EQ(eng->policy_name(), "simple-adapt");
+  ASSERT_EQ(al->object_monitor().sensor_count(), 1u);
+  EXPECT_EQ(al->object_monitor().sensor_at(0).name(), "no-of-waiting-threads");
 }
 
 }  // namespace

@@ -36,8 +36,8 @@ TEST(AsyncSpec, DefaultJsonIsByteStable) {
 }
 
 TEST(AsyncSpec, AsyncIsNeverDefault) {
-  // Even async simple-adapt must route through the registry/engine so the
-  // runtime has a queue to drain.
+  // run_config and the checker label these specs explicitly: an async or
+  // coordinated simple-adapt is not the default spec.
   EXPECT_FALSE(policy_spec{}.with_async().is_default());
   EXPECT_FALSE(policy_spec{}.with_coordinate().is_default());
 }
@@ -162,7 +162,7 @@ workload::cs_config async_cs_config() {
   cfg.cs_length = sim::microseconds(40);
   cfg.think_time = sim::microseconds(60);
   cfg.kind = locks::lock_kind::adaptive;
-  cfg.params.policy = policy::default_spec("break-even");
+  cfg.params.policy = policy::policy_registry::default_spec("break-even");
   cfg.params.policy.with_async(40);
   return cfg;
 }
@@ -177,7 +177,7 @@ TEST(AsyncRuntime, DaemonDrainsAndWorkloadCompletes) {
 
 TEST(AsyncRuntime, SyncModeNeverStartsTheDaemon) {
   auto cfg = async_cs_config();
-  cfg.params.policy = policy::default_spec("break-even");  // sync again
+  cfg.params.policy = policy::policy_registry::default_spec("break-even");  // sync again
   const auto res = workload::run_cs_workload(cfg);
   EXPECT_EQ(res.acquisitions, 8u * 60u);
   EXPECT_EQ(res.policy_ticks, 0u);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "locks/adaptive_lock.hpp"
 #include "locks/reconfigurable_lock.hpp"
 
 namespace adx::policy {
@@ -78,6 +82,56 @@ TEST(LockSensors, AcquireRateIsDeltaBetweenSamples) {
   }
   EXPECT_EQ(s.trigger()->value, 5);
   EXPECT_EQ(s.trigger()->value, 0);  // no new acquisitions since last sample
+}
+
+// install_sensors validates the whole list before touching the monitor:
+// the adaptive lock keeps its one default sensor when a list is rejected.
+void expect_rejected(const std::vector<sensor_spec>& specs, const std::string& needle) {
+  locks::adaptive_lock lk(0, cost());
+  lock_sensor_host host(lk);
+  try {
+    install_sensors(lk, host, specs);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+  ASSERT_EQ(lk.object_monitor().sensor_count(), 1u);
+  EXPECT_EQ(lk.object_monitor().sensor_at(0).name(), "no-of-waiting-threads");
+}
+
+TEST(LockSensors, InstallRejectsASensorListedTwice) {
+  // Each sensor has one fold in the monitor, so a second entry could only
+  // contradict the first.
+  sensor_spec smooth;
+  smooth.name = "lock-hold-time";
+  smooth.agg = aggregation::ewma;
+  sensor_spec peak = smooth;
+  peak.agg = aggregation::max_in_window;
+  expect_rejected({smooth, peak}, "duplicate sensor: lock-hold-time");
+  // The adaptive lock's constructor takes the same path.
+  EXPECT_THROW(locks::adaptive_lock(0, cost(), {}, locks::waiting_policy::mixed(10),
+                                    policy_spec{}.with_name("ewma-hold")
+                                        .with_sensor(smooth)
+                                        .with_sensor(peak)),
+               std::invalid_argument);
+}
+
+TEST(LockSensors, InstallRejectsEwmaAlphaOutsideUnitInterval) {
+  sensor_spec waiting;  // a valid entry ahead of the bad one
+  sensor_spec hold;
+  hold.name = "lock-hold-time";
+  hold.agg = aggregation::ewma;
+  for (const double alpha : {7.0, 0.0, -0.5}) {
+    hold.ewma_alpha = alpha;
+    expect_rejected({waiting, hold}, "bad ewma_alpha for sensor lock-hold-time");
+  }
+  // 1 is inside (0, 1]: the fold degenerates to last-value.
+  hold.ewma_alpha = 1.0;
+  locks::adaptive_lock lk(0, cost());
+  lock_sensor_host host(lk);
+  const std::vector<sensor_spec> ok = {waiting, hold};
+  install_sensors(lk, host, ok);
+  EXPECT_EQ(lk.object_monitor().sensor_count(), 2u);
 }
 
 }  // namespace

@@ -52,9 +52,9 @@ TEST(PolicySpec, JsonRoundTripDefault) {
 }
 
 TEST(PolicySpec, JsonRoundTripEveryRegisteredPolicy) {
-  for (const auto name : all_policy_names()) {
-    const auto s = default_spec(name);
-    EXPECT_EQ(policy_spec::from_json(s.to_json()), s) << name;
+  for (const auto& info : policy_registry::catalogue()) {
+    const auto s = policy_registry::default_spec(info.name);
+    EXPECT_EQ(policy_spec::from_json(s.to_json()), s) << info.name;
   }
 }
 
