@@ -1,7 +1,9 @@
-// Shared helpers for the benchmark harness: paper-vs-measured row printing
-// and the locking-pattern runner (Figures 4-9). The measurement cores (TSP
-// experiment runner, micro-cost probes) live in perf/probes.hpp, shared with
-// the adx-bench scenario registry.
+// Shared helpers for the benchmark harness: the flag parser setup, report
+// formats, and the renderers shared by several binaries (Tables 1-3, Figures
+// 4-9). What each experiment runs — its grid, configs and probes — is defined
+// once in perf/probes.hpp, which the adx-bench scenario registry runs too; a
+// bench binary only parses its flags and renders paper columns, labels and
+// prose.
 //
 // Every bench declares its flags through the shared `adx::cli::options`
 // parser (see bench_options below): each binary gets a generated `--help`
@@ -10,22 +12,20 @@
 #pragma once
 
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <fstream>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "cli/options.hpp"
-#include "ct/context.hpp"
 #include "exec/job_executor.hpp"
-#include "locks/adaptive_lock.hpp"
 #include "locks/factory.hpp"
 #include "obs/report_sink.hpp"
 #include "obs/tracer.hpp"
 #include "perf/probes.hpp"
-#include "tsp/parallel.hpp"
 
 namespace adx::bench {
 
@@ -49,10 +49,13 @@ inline cli::options bench_options(char** argv, const char* summary) {
 /// Starts the flag parser for a *sweep* bench: bench_options plus the shared
 /// `--jobs` flag. Sweep benches run every grid point as an independent
 /// simulation on an exec::job_executor, so their figures are byte-identical
-/// for any worker count.
-inline cli::options bench_sweep_options(char** argv, const char* summary) {
+/// for any worker count. The federated benches pass `default_jobs = 1`:
+/// there the workers drive the DES window pool, which costs more host time
+/// than it saves at their window sizes.
+inline cli::options bench_sweep_options(char** argv, const char* summary,
+                                        std::uint64_t default_jobs = 0) {
   return bench_options(argv, summary)
-      .u64("jobs", 0,
+      .u64("jobs", default_jobs,
            "parallel sweep workers (0 = one per host core); figures are "
            "byte-identical for any value");
 }
@@ -74,14 +77,37 @@ inline obs::report_format report_format_from(const cli::options& opt) {
   return *f;
 }
 
-/// Declares and parses the standard `--format` flag — the whole command line
-/// of the table-only benches (Tables 4-8).
-inline obs::report_format parse_format_only(int argc, char** argv,
-                                            const char* summary) {
-  auto opt = bench_options(argv, summary)
+/// One row of a Tables 4-8 cost table: its label and the paper's local and
+/// remote figures (a negative remote: the paper gives none, so none is
+/// measured either).
+struct cost_row {
+  const char* name;
+  double paper_local;
+  double paper_remote;
+};
+
+/// The whole of a Tables 4-8 bench: parses `--format` (its only flag),
+/// measures row i with `measure(i, remote)` and prints paper vs measured,
+/// local and remote.
+template <typename Measure>
+void run_cost_table(int argc, char** argv, const char* first_col, const char* title,
+                    const char* preamble, std::span<const cost_row> rows,
+                    Measure measure) {
+  auto opt = bench_options(argv, title)
                  .str("format", "table", "report format: table|csv|json");
   opt.parse(argc, argv);
-  return report_format_from(opt);
+  const auto fmt = report_format_from(opt);
+  table t({first_col, "paper local", "meas. local", "paper remote", "meas. remote"});
+  t.title(title);
+  if (preamble != nullptr) t.preamble(preamble);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& r = rows[i];
+    const bool remote = r.paper_remote >= 0;
+    t.row({r.name, table::num(r.paper_local), table::num(measure(i, false)),
+           remote ? table::num(r.paper_remote) : "-",
+           remote ? table::num(measure(i, true)) : "-"});
+  }
+  t.emit(fmt);
 }
 
 /// printf into a std::string, for report preamble/note lines.
@@ -98,52 +124,40 @@ inline obs::report_format parse_format_only(int argc, char** argv,
   return out;
 }
 
-// The measurement cores live in perf/probes.hpp (shared with the adx-bench
-// scenario registry); benches keep their historical adx::bench:: names.
-using perf::default_seeds;
-using perf::op_times;
-using perf::run_tsp;
-using perf::sequential_virtual_ms;
-using perf::time_cycle_us;
-using perf::time_lock_ops;
-using perf::tsp_cfg;
-using perf::tsp_summary;
-
 /// Prints the standard Tables 1-3 layout (paper row + measured row) through a
 /// report_sink, honouring `--format=table|csv|json`.
 inline void print_tsp_table(const char* title, tsp::variant v, int paper_blocking_ms,
                             int paper_adaptive_ms, double paper_improvement,
                             int paper_sequential_ms, int argc, char** argv) {
+  perf::tsp_table_shape shape;
   auto opt = bench_options(argv, title)
-                 .u64("cities", 32, "TSP problem size")
-                 .u64("processors", 10, "processors (one searcher thread each)")
+                 .u64("cities", shape.cities, "TSP problem size")
+                 .u64("processors", shape.processors,
+                      "processors (one searcher thread each)")
                  .str("format", "table", "report format: table|csv|json");
   opt.parse(argc, argv);
   const auto fmt = report_format_from(opt);
-  const auto cities = static_cast<unsigned>(opt.get_u64("cities"));
-  const auto processors = static_cast<unsigned>(opt.get_u64("processors"));
-  const auto seeds = default_seeds();
+  shape.cities = static_cast<unsigned>(opt.get_u64("cities"));
+  shape.processors = static_cast<unsigned>(opt.get_u64("processors"));
 
-  const auto blocking = run_tsp(v, locks::lock_kind::blocking, cities, processors, seeds);
-  const auto adaptive = run_tsp(v, locks::lock_kind::adaptive, cities, processors, seeds);
-  const double improvement = (blocking.mean_ms - adaptive.mean_ms) / blocking.mean_ms;
+  const auto r = perf::run_tsp_table(v, shape);
+  const auto& blocking = r.blocking;
+  const auto& adaptive = r.adaptive;
 
   table t({"", "sequential (ms)", "blocking lock (ms)", "adaptive lock (ms)",
            "improvement"});
   t.title(title);
   t.preamble(strf("(measured: %u cities, %u processors, 1 searcher thread/processor, "
                   "mean over %zu seeds)",
-                  cities, processors, seeds.size()));
+                  shape.cities, shape.processors, shape.seeds.size()));
   t.row({"paper (BBN GP1000)",
          paper_sequential_ms > 0 ? std::to_string(paper_sequential_ms) : "-",
          std::to_string(paper_blocking_ms), std::to_string(paper_adaptive_ms),
          table::pct(paper_improvement)});
-  const double seq_ms =
-      sequential_virtual_ms(cities, seeds.front(), tsp_cfg(v, locks::lock_kind::blocking,
-                                                           processors));
+  const double seq_ms = perf::sequential_virtual_ms(v, shape);
   t.row({"measured (simulator)", table::num(seq_ms, 0),
          table::num(blocking.mean_ms, 0),
-         table::num(adaptive.mean_ms, 0), table::pct(improvement)});
+         table::num(adaptive.mean_ms, 0), table::pct(r.improvement())});
 
   const double work_norm =
       (blocking.mean_ms_per_expansion - adaptive.mean_ms_per_expansion) /
@@ -175,18 +189,20 @@ inline void print_tsp_table(const char* title, tsp::variant v, int paper_blockin
 /// overrides it either way.
 inline void print_pattern_figure(const char* title, tsp::variant v, bool qlock,
                                  int argc, char** argv) {
+  perf::pattern_shape shape;
   auto opt = bench_options(argv, title)
-                 .u64("cities", 32, "TSP problem size")
-                 .u64("processors", 10, "processors (one searcher thread each)")
-                 .u64("seed", 9001, "instance seed")
+                 .u64("cities", shape.cities, "TSP problem size")
+                 .u64("processors", shape.processors,
+                      "processors (one searcher thread each)")
+                 .u64("seed", shape.seed, "instance seed")
                  .str("trace-json", "", "write Chrome trace-event JSON to PATH")
                  .str("lock", "",
                       "lock kind to trace (default blocking; adaptive when tracing)")
                  .flag("csv", "also dump the raw waiting-count series as CSV");
   opt.parse(argc, argv);
-  const auto cities = static_cast<unsigned>(opt.get_u64("cities"));
-  const auto processors = static_cast<unsigned>(opt.get_u64("processors"));
-  const auto seed = opt.get_u64("seed");
+  shape.cities = static_cast<unsigned>(opt.get_u64("cities"));
+  shape.processors = static_cast<unsigned>(opt.get_u64("processors"));
+  shape.seed = opt.get_u64("seed");
   const auto& trace_path = opt.get_str("trace-json");
   const auto lock_name =
       !opt.get_str("lock").empty()
@@ -200,17 +216,11 @@ inline void print_pattern_figure(const char* title, tsp::variant v, bool qlock,
     std::exit(2);
   }
 
-  auto cfg = tsp_cfg(v, kind, processors);
-  cfg.record_patterns = true;
   obs::tracer tr;
-  if (!trace_path.empty()) {
-    tr.enable();
-    cfg.tracer = &tr;
-  }
-  const auto inst = tsp::instance::random_asymmetric(static_cast<int>(cities), seed);
-  const auto r = tsp::solve_parallel(inst, cfg);
-  const auto& pattern = qlock ? r.qlock_pattern : r.act_pattern;
-  const auto& report = qlock ? r.lock_reports[0] : r.lock_reports[2];
+  if (!trace_path.empty()) tr.enable();
+  const auto r = perf::run_pattern(v, kind, shape, trace_path.empty() ? nullptr : &tr);
+  const auto& pattern = perf::pattern_series(r, qlock);
+  const auto& report = perf::pattern_report(r, qlock);
 
   std::printf("%s\n", title);
   if (kind != locks::lock_kind::blocking) {
@@ -218,7 +228,8 @@ inline void print_pattern_figure(const char* title, tsp::variant v, bool qlock,
   }
   std::printf("(measured: %u cities, seed %llu, %u processors; waiting threads over "
               "virtual time)\n\n",
-              cities, static_cast<unsigned long long>(seed), processors);
+              shape.cities, static_cast<unsigned long long>(shape.seed),
+              shape.processors);
   std::printf("%s\n", pattern.ascii_chart(r.elapsed).c_str());
   std::printf("requests %llu, contended %.1f%%, peak waiting %lld, mean wait %.0f us, "
               "run %.0f ms\n",

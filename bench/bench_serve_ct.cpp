@@ -21,18 +21,23 @@ int main(int argc, char** argv) {
   using namespace adx;
   using bench::table;
 
+  auto base = perf::serve_ct_base();
   auto opt =
-      bench::bench_sweep_options(argv, "Open-loop ct serving on fat_tree_hpc4096")
+      bench::bench_sweep_options(argv, "Open-loop ct serving on fat_tree_hpc4096",
+                                 /*default_jobs=*/1)
           .u64("groups", 0,
                "NUMA groups; 0 = the 4096-node fat-tree preset (64x64)")
           .u64("group_nodes", 8, "nodes per group (with --groups > 0)")
-          .u64("servers", 2, "server threads per group")
-          .u64("requests", 50, "requests per group")
-          .u64("interarrival_us", 80, "mean interarrival time per group (us)")
-          .u64("remote_pct", 25, "percent of arrivals that target another group")
-          .u64("service_us", 25, "lock-guarded service demand (us)")
-          .u64("shards", 8, "DES shards (virtual results identical for any value)")
-          .u64("seed", 42, "run seed (arrival processes + domain streams)")
+          .u64("servers", base.servers_per_group, "server threads per group")
+          .u64("requests", base.requests_per_group, "requests per group")
+          .u64("interarrival_us", static_cast<std::uint64_t>(base.mean_interarrival_us),
+               "mean interarrival time per group (us)")
+          .u64("remote_pct", static_cast<std::uint64_t>(100 * base.remote_fraction),
+               "percent of arrivals that target another group")
+          .u64("service_us", static_cast<std::uint64_t>(base.service.us()),
+               "lock-guarded service demand (us)")
+          .u64("shards", base.shards, "DES shards (virtual results identical for any value)")
+          .u64("seed", base.seed, "run seed (arrival processes + domain streams)")
           .flag("adaptive-lookahead",
                 "widen sync windows over quiet rounds (virtual results identical)")
           .str("telemetry", "",
@@ -57,12 +62,11 @@ int main(int argc, char** argv) {
     if (!tele) std::fprintf(stderr, "telemetry disabled: %s\n", terr.c_str());
   }
 
-  workload::ct_serve_config base;
   const auto groups = static_cast<unsigned>(opt.get_u64("groups"));
-  base.machine = groups == 0
-                     ? sim::machine_config::fat_tree_hpc4096()
-                     : sim::machine_config::hierarchical_numa(
-                           groups, static_cast<unsigned>(opt.get_u64("group_nodes")));
+  if (groups != 0) {
+    base.machine = sim::machine_config::hierarchical_numa(
+        groups, static_cast<unsigned>(opt.get_u64("group_nodes")));
+  }
   base.servers_per_group = static_cast<unsigned>(opt.get_u64("servers"));
   base.requests_per_group = opt.get_u64("requests");
   base.mean_interarrival_us = static_cast<double>(opt.get_u64("interarrival_us"));
@@ -71,12 +75,6 @@ int main(int argc, char** argv) {
   base.seed = opt.get_u64("seed");
   base.shards = static_cast<unsigned>(opt.get_u64("shards"));
   base.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
-
-  const locks::lock_kind kinds[] = {
-      locks::lock_kind::spin,
-      locks::lock_kind::blocking,
-      locks::lock_kind::adaptive,
-  };
 
   exec::job_executor ex(bench::jobs_from(opt));
   std::fprintf(stderr,
@@ -97,7 +95,7 @@ int main(int argc, char** argv) {
            "posts", "elapsed-ms"});
   std::uint64_t kinds_done = 0;
   obs::metrics m;  // cumulative across kinds: snapshots are latest-wins
-  for (const auto kind : kinds) {
+  for (const auto kind : perf::handoff_kinds) {
     auto cfg = base;
     cfg.kind = kind;
     const auto r = run_ct_serve(cfg, &ex);
@@ -111,7 +109,7 @@ int main(int argc, char** argv) {
       tele->publish_metrics(m, r.elapsed.ns);
       tele->publish_result(locks::to_string(kind),
                            !r.completed || r.served != r.generated, "");
-      tele->publish_progress(++kinds_done, std::size(kinds),
+      tele->publish_progress(++kinds_done, std::size(perf::handoff_kinds),
                              locks::to_string(kind));
     }
     if (!r.completed || r.served != r.generated) {

@@ -13,59 +13,39 @@
 // Virtual-time results are bit-identical for every --shards and --jobs
 // value; those knobs only change wall-clock cost.
 #include "bench_common.hpp"
-#include "workload/open_loop.hpp"
 
 int main(int argc, char** argv) {
   using namespace adx;
   using bench::table;
 
-  auto opt = bench::bench_sweep_options(argv, "Open-loop serving tail latency")
-                 .u64("groups", 8, "NUMA groups (one arrival process each)")
-                 .u64("group_nodes", 8, "nodes per NUMA group")
-                 .u64("shards", 4, "DES shards (virtual results identical for any value)")
-                 .u64("requests", 1500, "requests per group")
-                 .u64("interarrival_us", 600, "mean interarrival time per group (us)")
-                 .u64("service_us", 40, "mean critical-section length (us)")
-                 .u64("threshold", 16, "adaptive spin->block queue-depth threshold");
+  auto base = perf::serve_openloop_base();
+  auto opt =
+      bench::bench_sweep_options(argv, "Open-loop serving tail latency")
+          .u64("groups", base.machine.groups(), "NUMA groups (one arrival process each)")
+          .u64("group_nodes", base.machine.group_size, "nodes per NUMA group")
+          .u64("shards", base.shards, "DES shards (virtual results identical for any value)")
+          .u64("requests", base.requests_per_group, "requests per group")
+          .u64("interarrival_us", static_cast<std::uint64_t>(base.mean_interarrival_us),
+               "mean interarrival time per group (us)")
+          .u64("service_us", static_cast<std::uint64_t>(base.mean_service_us),
+               "mean critical-section length (us)")
+          .u64("threshold", static_cast<std::uint64_t>(base.params.adapt.waiting_threshold),
+               "adaptive spin->block queue-depth threshold");
   opt.parse(argc, argv);
 
-  workload::open_loop_config base;
   base.machine = sim::machine_config::hierarchical_numa(
       static_cast<unsigned>(opt.get_u64("groups")),
       static_cast<unsigned>(opt.get_u64("group_nodes")));
   base.shards = static_cast<unsigned>(opt.get_u64("shards"));
-  base.locks_per_group = 1;
   base.requests_per_group = opt.get_u64("requests");
   base.mean_interarrival_us = static_cast<double>(opt.get_u64("interarrival_us"));
   base.mean_service_us = static_cast<double>(opt.get_u64("service_us"));
   base.params.adapt.waiting_threshold =
       static_cast<std::int64_t>(opt.get_u64("threshold"));
 
-  struct load_row {
-    const char* name;
-    bool bursty;
-  };
-  const load_row loads[] = {{"poisson", false}, {"bursty(8x)", true}};
-  const locks::lock_kind kinds[] = {
-      locks::lock_kind::spin,   locks::lock_kind::blocking,
-      locks::lock_kind::mcs,    locks::lock_kind::ticket,
-      locks::lock_kind::adaptive,
-  };
-
-  // Row-major (load x kind) grid; every point is an independent simulation.
-  std::vector<workload::open_loop_config> grid;
-  for (const auto& load : loads) {
-    for (const auto kind : kinds) {
-      auto cfg = base;
-      cfg.kind = kind;
-      cfg.bursty = load.bursty;
-      cfg.burst_mult = 8.0;
-      cfg.burst_period_us = 30'000.0;
-      grid.push_back(cfg);
-    }
-  }
+  const auto& kinds = perf::serve_openloop_kinds;
   exec::job_executor ex(bench::jobs_from(opt));
-  const auto sweep = run_open_loop_sweep(grid, ex);
+  const auto sweep = run_open_loop_sweep(perf::serve_openloop_grid(base, kinds), ex);
 
   // The shard count goes to stderr: stdout carries only virtual-time
   // results, so CI can byte-diff reports taken at different --shards/--jobs.
@@ -78,11 +58,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(base.requests_per_group),
               base.mean_interarrival_us, base.mean_service_us);
 
+  // Grid rows: Poisson arrivals, then 8x bursts.
+  const char* loads[] = {"poisson", "bursty(8x)"};
   table t({"load", "lock", "p50", "p99", "p999", "max", "spin-grants", "block-grants"});
   for (std::size_t l = 0; l < std::size(loads); ++l) {
     for (std::size_t k = 0; k < std::size(kinds); ++k) {
       const auto& r = sweep[l * std::size(kinds) + k];
-      t.row({loads[l].name, locks::to_string(kinds[k]),
+      t.row({loads[l], locks::to_string(kinds[k]),
              table::num(static_cast<double>(r.p50_ns) / 1e6, 3),
              table::num(static_cast<double>(r.p99_ns) / 1e6, 3),
              table::num(static_cast<double>(r.p999_ns) / 1e6, 3),

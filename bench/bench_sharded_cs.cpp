@@ -19,22 +19,26 @@ int main(int argc, char** argv) {
   using namespace adx;
   using bench::table;
 
+  workload::sharded_cs_config base;
   auto opt =
-      bench::bench_sweep_options(argv, "Federated ct critical-section sweep")
-          .u64("groups", 4, "NUMA groups (one ct runtime each)")
-          .u64("group_nodes", 8, "nodes per NUMA group")
-          .u64("threads", 6, "client threads per group")
-          .u64("iterations", 40, "closed-loop iterations per client")
-          .u64("cs_us", 100, "critical-section length (us)")
-          .u64("think_us", 300, "mean think time between iterations (us)")
-          .u64("remote_every", 4, "post an echo to the next group every Nth iteration")
-          .u64("shards", 1, "DES shards (virtual results identical for any value)")
-          .u64("seed", 42, "run seed (think-time jitter + domain streams)")
+      bench::bench_sweep_options(argv, "Federated ct critical-section sweep",
+                                 /*default_jobs=*/1)
+          .u64("groups", base.machine.groups(), "NUMA groups (one ct runtime each)")
+          .u64("group_nodes", base.machine.group_size, "nodes per NUMA group")
+          .u64("threads", base.threads_per_group, "client threads per group")
+          .u64("iterations", base.iterations, "closed-loop iterations per client")
+          .u64("cs_us", static_cast<std::uint64_t>(base.cs_length.us()),
+               "critical-section length (us)")
+          .u64("think_us", static_cast<std::uint64_t>(base.think_time.us()),
+               "mean think time between iterations (us)")
+          .u64("remote_every", base.remote_every,
+               "post an echo to the next group every Nth iteration")
+          .u64("shards", base.shards, "DES shards (virtual results identical for any value)")
+          .u64("seed", base.seed, "run seed (think-time jitter + domain streams)")
           .flag("adaptive-lookahead",
                 "widen sync windows over quiet rounds (virtual results identical)");
   opt.parse(argc, argv);
 
-  workload::sharded_cs_config base;
   base.machine = sim::machine_config::hierarchical_numa(
       static_cast<unsigned>(opt.get_u64("groups")),
       static_cast<unsigned>(opt.get_u64("group_nodes")));
@@ -46,11 +50,6 @@ int main(int argc, char** argv) {
   base.seed = opt.get_u64("seed");
   base.shards = static_cast<unsigned>(opt.get_u64("shards"));
   base.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
-
-  const locks::lock_kind kinds[] = {
-      locks::lock_kind::spin,     locks::lock_kind::blocking,
-      locks::lock_kind::combined, locks::lock_kind::adaptive,
-  };
 
   // The shard/worker/lookahead knobs go to stderr: stdout carries only
   // virtual-time results, so CI can byte-diff reports across all of them.
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
 
   table t({"lock", "elapsed-ms", "acquisitions", "blocks", "echoes",
            "echo-p99-us", "posts"});
-  for (const auto kind : kinds) {
+  for (const auto kind : perf::sharded_cs_kinds) {
     auto cfg = base;
     cfg.kind = kind;
     const auto r = run_sharded_cs(cfg, &ex);

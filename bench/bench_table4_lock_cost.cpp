@@ -1,37 +1,26 @@
 // Table 4: Cost of the Lock operation for different locks, local vs. remote
 // (paper: atomior 30.73/33.86, spin 40.79/41.10, backoff 40.79/41.15,
 // blocking 88.59/91.73, adaptive 40.79/41.17 microseconds).
+#include <iterator>
+
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using adx::bench::table;
-  using adx::locks::lock_kind;
-  const auto fmt = adx::bench::parse_format_only(argc, argv,
-                                                 "Table 4: lock-op cost");
-
-  struct row {
-    lock_kind kind;
-    const char* name;
-    double paper_local;
-    double paper_remote;
+  using namespace adx;
+  // Paper rows, in perf::table4_kinds order.
+  const bench::cost_row rows[] = {
+      {"atomior", 30.73, 33.86},
+      {"spin-lock", 40.79, 41.10},
+      {"spin-with-backoff", 40.79, 41.15},
+      {"blocking-lock", 88.59, 91.73},
+      {"adaptive lock", 40.79, 41.17},
   };
-  const row rows[] = {
-      {lock_kind::atomior, "atomior", 30.73, 33.86},
-      {lock_kind::spin, "spin-lock", 40.79, 41.10},
-      {lock_kind::backoff, "spin-with-backoff", 40.79, 41.15},
-      {lock_kind::blocking, "blocking-lock", 88.59, 91.73},
-      {lock_kind::adaptive, "adaptive lock", 40.79, 41.17},
-  };
-
-  table t({"lock type", "paper local", "meas. local", "paper remote", "meas. remote"});
-  t.title("Table 4: Cost of the Lock operation for different locks (us)");
-  t.preamble("(uncontended acquisition; lock word local vs. remote)");
-  for (const auto& r : rows) {
-    const auto local = adx::bench::time_lock_ops(r.kind, false);
-    const auto remote = adx::bench::time_lock_ops(r.kind, true);
-    t.row({r.name, table::num(r.paper_local), table::num(local.lock_us),
-           table::num(r.paper_remote), table::num(remote.lock_us)});
-  }
-  t.emit(fmt);
+  static_assert(std::size(rows) == std::size(perf::table4_kinds));
+  bench::run_cost_table(argc, argv, "lock type",
+                        "Table 4: Cost of the Lock operation for different locks (us)",
+                        "(uncontended acquisition; lock word local vs. remote)", rows,
+                        [](std::size_t i, bool remote) {
+                          return perf::lock_op_us(perf::table4_kinds[i], remote);
+                        });
   return 0;
 }

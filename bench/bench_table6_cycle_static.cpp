@@ -2,38 +2,24 @@
 // "locked" lock — the locking cycle, release-to-acquire with a waiter
 // present (paper: spin 45.13/47.89, backoff 320.36/356.95, blocking
 // 510.55/563.79 microseconds).
+#include <iterator>
+
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace adx;
-  using bench::table;
-  const auto fmt = bench::parse_format_only(argc, argv,
-                                            "Table 6: static locking cycle");
-
-  struct row {
-    locks::lock_kind kind;
-    const char* name;
-    double paper_local;
-    double paper_remote;
+  // Paper rows, in perf::table6_kinds order.
+  const bench::cost_row rows[] = {
+      {"spin", 45.13, 47.89},
+      {"spin-with-backoff", 320.36, 356.95},
+      {"blocking-lock", 510.55, 563.79},
   };
-  const row rows[] = {
-      {locks::lock_kind::spin, "spin", 45.13, 47.89},
-      {locks::lock_kind::backoff, "spin-with-backoff", 320.36, 356.95},
-      {locks::lock_kind::blocking, "blocking-lock", 510.55, 563.79},
-  };
-
-  table t({"lock type", "paper local", "meas. local", "paper remote", "meas. remote"});
-  t.title("Table 6: Locking cycle (unlock then lock on a busy lock), static "
-          "locks (us)");
-  for (const auto& r : rows) {
-    const auto make = [&](ct::runtime&, sim::node_id home) {
-      return locks::make_lock(r.kind, home,
-                              locks::lock_cost_model::butterfly_cthreads());
-    };
-    t.row({r.name, table::num(r.paper_local),
-           table::num(bench::time_cycle_us(make, false)), table::num(r.paper_remote),
-           table::num(bench::time_cycle_us(make, true))});
-  }
-  t.emit(fmt);
+  static_assert(std::size(rows) == std::size(perf::table6_kinds));
+  bench::run_cost_table(argc, argv, "lock type",
+                        "Table 6: Locking cycle (unlock then lock on a busy lock), static "
+                        "locks (us)",
+                        nullptr, rows, [](std::size_t i, bool remote) {
+                          return perf::cycle_static_us(perf::table6_kinds[i], remote);
+                        });
   return 0;
 }

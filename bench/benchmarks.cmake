@@ -1,6 +1,8 @@
 # Benchmark harness: one binary per paper table/figure plus extension and
 # ablation benches. Declared from the top-level CMakeLists via include() so
-# that ${CMAKE_BINARY_DIR}/bench contains ONLY runnable binaries.
+# that ${CMAKE_BINARY_DIR}/bench contains ONLY runnable binaries. Experiments
+# that adx-bench also gates are defined once in src/perf/probes.hpp (header
+# only); their binaries here parse flags and render.
 set(ADX_BENCH_DIR ${CMAKE_CURRENT_LIST_DIR})
 
 function(adx_bench name)

@@ -71,7 +71,9 @@ class monitor final : public locks::lock_event_observer, public ct::runtime_obse
   monitor(const monitor&) = delete;
   monitor& operator=(const monitor&) = delete;
 
-  /// Registers `lk` for checking; `name` labels its violations.
+  /// Registers `lk` for checking; `name` labels its violations. A watched
+  /// lock must outlive the monitor: ~monitor detaches itself from every
+  /// watched lock, so declare the monitor after the locks it watches.
   void watch(locks::lock_object& lk, std::string name);
 
   /// Post-run analysis: wait-for-graph deadlock detection, quiescent

@@ -33,7 +33,8 @@ ct::task<void> adaptive_lock::post_release_hook(ct::context& ctx) {
     if (auto* p = dynamic_cast<const lock_adapt_policy*>(policy())) {
       const auto& d = p->last_decision();
       stats_.on_reconfigure(ctx.now(), ctx.self(), d.sensor_value,
-                            describe(d.applied), p->policy_name(), d.sensors);
+                            [&d] { return describe(d.applied); }, p->policy_name(),
+                            d.sensors);
     }
   }
 }

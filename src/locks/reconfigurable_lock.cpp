@@ -200,8 +200,9 @@ ct::task<void> reconfigurable_lock::configure_waiting_policy(ct::context& ctx,
 
 ct::task<void> reconfigurable_lock::configure_scheduler(
     ct::context& ctx, std::unique_ptr<lock_scheduler> next) {
-  stats_.on_reconfigure(ctx.now(), ctx.self(), /*sensor_value=*/-1,
-                        "scheduler:" + std::string(next->name()));
+  stats_.on_reconfigure(ctx.now(), ctx.self(), /*sensor_value=*/-1, [&next] {
+    return "scheduler:" + std::string(next->name());
+  });
   co_await ctx.compute(cost_.configure_sched_overhead);
   co_await ctx.touch(home(), sim::access_kind::write, 3);  // three sub-modules
   co_await ctx.touch(home(), sim::access_kind::write);     // set transition flag

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "locks/observer.hpp"
@@ -89,16 +90,24 @@ class lock_stats {
   /// that caused it — what makes a pattern figure *explainable*. When the
   /// deciding policy identifies itself, the trace detail also carries the
   /// policy name and the full sensor vector it decided on.
+  ///
+  /// `describe()` returns the decision text (a std::string). It runs only
+  /// when an observer, a recording tracer or a telemetry client will read
+  /// it — at most once per call — so an unwatched Ψ formats nothing.
+  template <typename Describe>
   void on_reconfigure(sim::vtime at, std::uint32_t tid, std::int64_t sensor_value,
-                      std::string decision, std::string_view policy_name = {},
+                      Describe&& describe, std::string_view policy_name = {},
                       std::string_view sensors = {}) {
     ++reconfigures_;
+    const bool streaming = telemetry::enabled();
+    if (observer_ == nullptr && !streaming && !tracing()) return;
+    std::string decision = std::forward<Describe>(describe)();
     if (observer_) observer_->on_reconfigure(*owner_, at, tid, decision);
     // Live telemetry: every adaptation decision in the process funnels
     // through here (engine decisions, async pumps, coordinator and federated
     // demotions), so this single hook streams them all. One relaxed load
     // when telemetry is off.
-    if (telemetry::enabled()) {
+    if (streaming) {
       telemetry::publish_adapt_event(at.ns,
                                      trace_name_.empty() ? "lock" : trace_name_,
                                      policy_name, decision, sensors, sensor_value);

@@ -3,9 +3,14 @@
 // A scenario is a named, self-contained measurement: it runs one of the
 // paper's table/figure experiments (or an ablation / pure-simulator
 // microbench) at a fixed seed and reduced-but-representative shape, and
-// returns its metrics. Scenario names match the bench binaries they mirror
-// (bench_table7_cycle_adaptive, bench_fig1_cs_sweep, ...) so a regression
-// report points straight at the binary to rerun by hand.
+// returns its metrics. A scenario named after a bench binary
+// (bench_table7_cycle_adaptive, bench_fig1_cs_sweep, ...) runs that binary's
+// experiment from perf/probes.hpp, so a regression report points at the
+// binary to rerun by hand — except bench_abl_interconnect and
+// bench_abl_async_policy, whose descriptions say what they run instead.
+// Some scenarios have no binary of their name: sim_*, bench_serve_tail_1024,
+// bench_serve_ct_fat4096, bench_abl_policy, bench_hashmap_* and
+// bench_monitor_delegation.
 //
 // The runner (run_scenario) layers warmup + R timed repetitions on top of
 // each scenario body, measures host wall time around every repetition, and

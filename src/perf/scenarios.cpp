@@ -1,9 +1,12 @@
 // Scenario definitions for adx-bench: every paper table, Figure 1, the six
-// locking-pattern figures, representative extension/ablation benches, and a
-// pure event-queue microbench. Shapes are reduced from the bench binaries'
-// defaults (fewer seeds, smaller instances) so a full sweep stays in CI
-// budget, but each scenario exercises the same code path as the binary it is
-// named after.
+// locking-pattern figures, representative extension/ablation benches, the
+// adaptive-object benches, and pure event-queue microbenches.
+//
+// A scenario named after a bench binary runs that binary's experiment from
+// perf/probes.hpp — the one definition both consume — at a reduced shape
+// (fewer seeds, a smaller instance or grid, a subset of the lock kinds) so a
+// full sweep stays in CI budget; scenario.hpp lists the exceptions and the
+// scenarios without a binary.
 //
 // Scenario bodies report virtual-clock metrics (deterministic for the fixed
 // seeds used here) plus wall-derived rates; the runner adds `wall_ns` around
@@ -13,18 +16,15 @@
 
 #include <chrono>
 #include <memory>
+#include <span>
+#include <string>
 
-#include "locks/adaptive_lock.hpp"
-#include "locks/reconfigurable_lock.hpp"
-#include "locks/scheduler.hpp"
 #include "objects/adaptive_hash_map.hpp"
 #include "objects/adaptive_monitor.hpp"
 #include "perf/probes.hpp"
 #include "policy/registry.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sharded_event_queue.hpp"
-#include "tsp/instance.hpp"
-#include "tsp/parallel.hpp"
 #include "workload/cs_workload.hpp"
 #include "workload/ct_serve.hpp"
 #include "workload/open_loop.hpp"
@@ -38,6 +38,11 @@ constexpr metric_clock kWall = metric_clock::wall;
 
 double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Metric-name tag of a lock kind ("backoff" for spin-with-backoff).
+std::string kind_tag(locks::lock_kind k) {
+  return k == locks::lock_kind::backoff ? "backoff" : locks::to_string(k);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,50 +201,28 @@ scenario_result run_sharded_queue_churn() {
 // latency quantiles are virtual-clock and gated exactly.
 // ---------------------------------------------------------------------------
 
-workload::open_loop_config serve_base() {
-  workload::open_loop_config c;
-  c.machine = sim::machine_config::hierarchical_numa(8, 8);
-  c.shards = 4;
-  c.locks_per_group = 1;
-  c.requests_per_group = 1500;
-  c.mean_interarrival_us = 600;
-  c.mean_service_us = 40;
-  c.remote_ratio = 0.10;
-  c.params.adapt.waiting_threshold = 16;
-  return c;
+void push_tail_quantiles(scenario_result& r, const std::string& prefix,
+                         const workload::open_loop_result& res) {
+  r.metrics.push_back({prefix + "_p50_us", "us", kVirtual,
+                       static_cast<double>(res.p50_ns) / 1e3});
+  r.metrics.push_back({prefix + "_p99_us", "us", kVirtual,
+                       static_cast<double>(res.p99_ns) / 1e3});
+  r.metrics.push_back({prefix + "_p999_us", "us", kVirtual,
+                       static_cast<double>(res.p999_ns) / 1e3});
 }
 
 scenario_result run_serve_openloop() {
-  const struct {
-    const char* tag;
-    bool bursty;
-  } loads[] = {{"light", false}, {"bursty", true}};
-  const struct {
-    const char* tag;
-    locks::lock_kind kind;
-  } kinds[] = {{"spin", locks::lock_kind::spin},
-               {"blocking", locks::lock_kind::blocking},
-               {"adaptive", locks::lock_kind::adaptive}};
+  const auto& kinds = handoff_kinds;
+  exec::job_executor ex(1);
   scenario_result r;
   double total_requests = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& load : loads) {
-    for (const auto& k : kinds) {
-      auto cfg = serve_base();
-      cfg.kind = k.kind;
-      cfg.bursty = load.bursty;
-      cfg.burst_mult = 8;
-      cfg.burst_period_us = 30'000;
-      const auto res = run_open_loop(cfg);
-      total_requests += static_cast<double>(res.completed);
-      const std::string p = std::string(load.tag) + '_' + k.tag;
-      r.metrics.push_back({p + "_p50_us", "us", kVirtual,
-                           static_cast<double>(res.p50_ns) / 1e3});
-      r.metrics.push_back({p + "_p99_us", "us", kVirtual,
-                           static_cast<double>(res.p99_ns) / 1e3});
-      r.metrics.push_back({p + "_p999_us", "us", kVirtual,
-                           static_cast<double>(res.p999_ns) / 1e3});
-    }
+  const auto res = run_open_loop_sweep(serve_openloop_grid(serve_openloop_base(), kinds), ex);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    total_requests += static_cast<double>(res[i].completed);
+    const char* load = i < std::size(kinds) ? "light" : "bursty";
+    push_tail_quantiles(r, std::string(load) + '_' + kind_tag(kinds[i % std::size(kinds)]),
+                        res[i]);
   }
   const double wall_s = wall_seconds_since(t0);
   r.metrics.push_back({"requests_per_sec", "req/s", kWall, total_requests / wall_s,
@@ -255,34 +238,18 @@ scenario_result run_serve_openloop() {
 // ---------------------------------------------------------------------------
 
 scenario_result run_serve_tail_1024() {
-  const struct {
-    const char* tag;
-    locks::lock_kind kind;
-  } kinds[] = {{"spin", locks::lock_kind::spin},
-               {"blocking", locks::lock_kind::blocking},
-               {"adaptive", locks::lock_kind::adaptive}};
+  auto base = serve_openloop_base();
+  base.machine = sim::machine_config::hierarchical_numa();  // 32x32 = 1024 nodes
+  base.shards = 8;
+  base.requests_per_group = 400;
   scenario_result r;
   double total_requests = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& k : kinds) {
-    auto cfg = serve_base();
-    cfg.machine = sim::machine_config::hierarchical_numa();  // 32x32 = 1024 nodes
-    cfg.shards = 8;
-    cfg.requests_per_group = 400;
-    cfg.kind = k.kind;
-    cfg.bursty = true;
-    cfg.burst_mult = 8;
-    cfg.burst_period_us = 30'000;
-    const auto res = run_open_loop(cfg);
+  for (const auto kind : handoff_kinds) {
+    const auto res = run_open_loop(serve_openloop_point(base, /*bursty=*/true, kind));
     total_requests += static_cast<double>(res.completed);
-    const std::string p = std::string("n1024_") + k.tag;
-    r.metrics.push_back({p + "_p50_us", "us", kVirtual,
-                         static_cast<double>(res.p50_ns) / 1e3});
-    r.metrics.push_back({p + "_p99_us", "us", kVirtual,
-                         static_cast<double>(res.p99_ns) / 1e3});
-    r.metrics.push_back({p + "_p999_us", "us", kVirtual,
-                         static_cast<double>(res.p999_ns) / 1e3});
-    if (k.kind == locks::lock_kind::adaptive) {
+    push_tail_quantiles(r, "n1024_" + kind_tag(kind), res);
+    if (kind == locks::lock_kind::adaptive) {
       r.metrics.push_back({"n1024_completed", "count", kVirtual,
                            static_cast<double>(res.completed)});
       r.metrics.push_back({"n1024_windows", "count", kVirtual,
@@ -307,32 +274,27 @@ scenario_result run_serve_tail_1024() {
 // ---------------------------------------------------------------------------
 
 scenario_result run_ct_sharded_cs() {
-  const struct {
-    const char* tag;
-    locks::lock_kind kind;
-  } kinds[] = {{"spin", locks::lock_kind::spin},
-               {"blocking", locks::lock_kind::blocking},
-               {"adaptive", locks::lock_kind::adaptive}};
+  workload::sharded_cs_config base;
+  base.machine = sim::machine_config::hierarchical_numa(4, 6);
+  base.threads_per_group = 4;
+  base.iterations = 30;
+  base.remote_every = 3;
+  base.shards = 4;
   scenario_result r;
   double total_acquisitions = 0;
   const auto t0 = std::chrono::steady_clock::now();
   exec::job_executor ex(4);
-  for (const auto& k : kinds) {
-    workload::sharded_cs_config cfg;
-    cfg.machine = sim::machine_config::hierarchical_numa(4, 6);
-    cfg.threads_per_group = 4;
-    cfg.iterations = 30;
-    cfg.remote_every = 3;
-    cfg.kind = k.kind;
-    cfg.shards = 4;
+  for (const auto kind : handoff_kinds) {
+    auto cfg = base;
+    cfg.kind = kind;
     const auto res = run_sharded_cs(cfg, &ex);
     total_acquisitions += static_cast<double>(res.acquisitions);
-    const std::string p = k.tag;
+    const std::string p = locks::to_string(kind);
     r.metrics.push_back({p + "_virtual_ms", "ms", kVirtual, res.elapsed.ms()});
     r.metrics.push_back({p + "_echo_p99_us", "us", kVirtual, res.echo_rtt_p99_us});
     r.metrics.push_back({p + "_acquisitions", "count", kVirtual,
                          static_cast<double>(res.acquisitions)});
-    if (k.kind == locks::lock_kind::adaptive) {
+    if (kind == locks::lock_kind::adaptive) {
       r.metrics.push_back({"echoes", "count", kVirtual,
                            static_cast<double>(res.echoes)});
       r.metrics.push_back({"cross_posts", "count", kVirtual,
@@ -356,32 +318,22 @@ scenario_result run_ct_sharded_cs() {
 // ---------------------------------------------------------------------------
 
 scenario_result run_serve_ct_fat4096() {
-  const struct {
-    const char* tag;
-    locks::lock_kind kind;
-  } kinds[] = {{"spin", locks::lock_kind::spin},
-               {"blocking", locks::lock_kind::blocking},
-               {"adaptive", locks::lock_kind::adaptive}};
+  auto base = serve_ct_base();
+  base.requests_per_group = 25;  // x64 groups = 1600 requests
   scenario_result r;
   double total_served = 0;
   const auto t0 = std::chrono::steady_clock::now();
   exec::job_executor ex(4);
-  for (const auto& k : kinds) {
-    workload::ct_serve_config cfg;
-    cfg.machine = sim::machine_config::fat_tree_hpc4096();
-    cfg.servers_per_group = 2;
-    cfg.requests_per_group = 25;  // x64 groups = 1600 requests
-    cfg.mean_interarrival_us = 80;
-    cfg.remote_fraction = 0.25;
-    cfg.kind = k.kind;
-    cfg.shards = 8;
+  for (const auto kind : handoff_kinds) {
+    auto cfg = base;
+    cfg.kind = kind;
     const auto res = run_ct_serve(cfg, &ex);
     total_served += static_cast<double>(res.served);
-    const std::string p = std::string("fat4096_") + k.tag;
+    const std::string p = std::string("fat4096_") + locks::to_string(kind);
     r.metrics.push_back({p + "_p50_us", "us", kVirtual, res.latency_p50_us});
     r.metrics.push_back({p + "_p99_us", "us", kVirtual, res.latency_p99_us});
     r.metrics.push_back({p + "_virtual_ms", "ms", kVirtual, res.elapsed.ms()});
-    if (k.kind == locks::lock_kind::adaptive) {
+    if (kind == locks::lock_kind::adaptive) {
       r.metrics.push_back({"fat4096_served", "count", kVirtual,
                            static_cast<double>(res.served)});
       r.metrics.push_back({"fat4096_remote", "count", kVirtual,
@@ -399,233 +351,129 @@ scenario_result run_serve_ct_fat4096() {
 }
 
 // ---------------------------------------------------------------------------
-// Tables 1-3: TSP blocking vs adaptive (reduced: 16 cities, 3 seeds).
+// Tables 1-3: TSP blocking vs adaptive (reduced: 16 cities, 8 processors, 3
+// seeds).
 // ---------------------------------------------------------------------------
 
 scenario_result run_tsp_scenario(tsp::variant v) {
-  constexpr unsigned kCities = 16;
-  constexpr unsigned kProcessors = 8;
-  const std::vector<std::uint64_t> seeds = {9001, 1234, 777};
+  const tsp_table_shape shape{.cities = 16, .processors = 8, .seeds = {9001, 1234, 777}};
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto blocking = run_tsp(v, locks::lock_kind::blocking, kCities, kProcessors, seeds);
-  const auto adaptive = run_tsp(v, locks::lock_kind::adaptive, kCities, kProcessors, seeds);
+  const auto t = run_tsp_table(v, shape);
   const double wall_s = wall_seconds_since(t0);
 
   const double total_nodes =
-      static_cast<double>(blocking.mean_expansions + adaptive.mean_expansions) *
-      static_cast<double>(seeds.size());
+      static_cast<double>(t.blocking.mean_expansions + t.adaptive.mean_expansions) *
+      static_cast<double>(shape.seeds.size());
 
   scenario_result r;
-  r.metrics.push_back({"blocking_virtual_ms", "ms", kVirtual, blocking.mean_ms});
-  r.metrics.push_back({"adaptive_virtual_ms", "ms", kVirtual, adaptive.mean_ms});
-  r.metrics.push_back({"improvement_frac", "frac", kVirtual,
-                       (blocking.mean_ms - adaptive.mean_ms) / blocking.mean_ms});
+  r.metrics.push_back({"blocking_virtual_ms", "ms", kVirtual, t.blocking.mean_ms});
+  r.metrics.push_back({"adaptive_virtual_ms", "ms", kVirtual, t.adaptive.mean_ms});
+  r.metrics.push_back({"improvement_frac", "frac", kVirtual, t.improvement()});
   r.metrics.push_back({"expansions_blocking", "count", kVirtual,
-                       static_cast<double>(blocking.mean_expansions)});
+                       static_cast<double>(t.blocking.mean_expansions)});
   r.metrics.push_back({"expansions_adaptive", "count", kVirtual,
-                       static_cast<double>(adaptive.mean_expansions)});
+                       static_cast<double>(t.adaptive.mean_expansions)});
   r.metrics.push_back({"tsp_nodes_per_sec", "nodes/s", kWall, total_nodes / wall_s,
                        /*higher_better=*/true});
   return r;
 }
 
 // ---------------------------------------------------------------------------
-// Tables 4-5: lock/unlock op cost, every kind, local + remote.
+// Tables 4-8: the micro-cost probes, every row of the table, local + remote.
+// Each repetition loops the probes so the wall measurement rises above timer
+// jitter; the values are identical every iteration (deterministic), so only
+// the first is recorded.
 // ---------------------------------------------------------------------------
 
-scenario_result run_lock_op_costs(bool unlock_side) {
-  constexpr int kInner = 8;  // lift wall time above timer jitter
-  const struct {
-    locks::lock_kind kind;
-    const char* name;
-  } kinds[] = {
-      {locks::lock_kind::atomior, "atomior"},   {locks::lock_kind::spin, "spin"},
-      {locks::lock_kind::backoff, "backoff"},   {locks::lock_kind::blocking, "blocking"},
-      {locks::lock_kind::adaptive, "adaptive"},
-  };
+template <typename Row, typename Probe>
+scenario_result run_local_remote_rows(int inner, std::span<const Row> rows,
+                                      const std::string& prefix, Probe probe,
+                                      const std::vector<std::string>& tags) {
   scenario_result r;
-  for (int i = 0; i < kInner; ++i) {
-    const bool record = i == 0;  // identical every iteration (deterministic)
-    for (const auto& k : kinds) {
-      const auto local = time_lock_ops(k.kind, false);
-      const auto remote = time_lock_ops(k.kind, true);
-      if (!record) continue;
-      const char* op = unlock_side ? "unlock" : "lock";
-      const double lv = unlock_side ? local.unlock_us : local.lock_us;
-      const double rv = unlock_side ? remote.unlock_us : remote.lock_us;
-      r.metrics.push_back({std::string(op) + '_' + k.name + "_local_us", "us", kVirtual, lv});
-      r.metrics.push_back({std::string(op) + '_' + k.name + "_remote_us", "us", kVirtual, rv});
+  for (int i = 0; i < inner; ++i) {
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const double local = probe(rows[k], false);
+      const double remote = probe(rows[k], true);
+      if (i != 0) continue;
+      r.metrics.push_back({prefix + tags[k] + "_local_us", "us", kVirtual, local});
+      r.metrics.push_back({prefix + tags[k] + "_remote_us", "us", kVirtual, remote});
     }
   }
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Tables 6-7: the locking cycle (release-to-acquire with a waiter present).
-// ---------------------------------------------------------------------------
+std::vector<std::string> kind_tags(std::span<const locks::lock_kind> kinds) {
+  std::vector<std::string> tags;
+  for (const auto k : kinds) tags.push_back(kind_tag(k));
+  return tags;
+}
+
+scenario_result run_lock_op_costs() {
+  return run_local_remote_rows<locks::lock_kind>(8, table4_kinds, "lock_", lock_op_us,
+                                                 kind_tags(table4_kinds));
+}
+
+scenario_result run_unlock_op_costs() {
+  // Each probe times 8 lock/unlock pairs against Table 4's one: half the
+  // loop count keeps the wall measurement comparable.
+  return run_local_remote_rows<locks::lock_kind>(4, table5_kinds, "unlock_", unlock_op_us,
+                                                 kind_tags(table5_kinds));
+}
 
 scenario_result run_cycle_static() {
-  constexpr int kInner = 6;
-  const struct {
-    locks::lock_kind kind;
-    const char* name;
-  } kinds[] = {
-      {locks::lock_kind::spin, "spin"},
-      {locks::lock_kind::backoff, "backoff"},
-      {locks::lock_kind::blocking, "blocking"},
-  };
-  scenario_result r;
-  for (int i = 0; i < kInner; ++i) {
-    const bool record = i == 0;
-    for (const auto& k : kinds) {
-      const auto make = [&](ct::runtime&, sim::node_id home) {
-        return locks::make_lock(k.kind, home, locks::lock_cost_model::butterfly_cthreads());
-      };
-      const double local = time_cycle_us(make, false);
-      const double remote = time_cycle_us(make, true);
-      if (!record) continue;
-      r.metrics.push_back({std::string("cycle_") + k.name + "_local_us", "us", kVirtual, local});
-      r.metrics.push_back({std::string("cycle_") + k.name + "_remote_us", "us", kVirtual, remote});
-    }
-  }
-  return r;
+  return run_local_remote_rows<locks::lock_kind>(6, table6_kinds, "cycle_",
+                                                 cycle_static_us, kind_tags(table6_kinds));
 }
 
 scenario_result run_cycle_adaptive() {
-  constexpr int kInner = 20;  // small per-cycle cost: amortize timer jitter
-  const struct {
-    const char* name;
-    locks::waiting_policy policy;
-  } rows[] = {
-      {"as_spin", locks::waiting_policy::pure_spin(4096)},
-      {"as_blocking", locks::waiting_policy::pure_sleep()},
-  };
-  scenario_result r;
-  for (int i = 0; i < kInner; ++i) {
-    const bool record = i == 0;
-    for (const auto& row : rows) {
-      const auto make = [&](ct::runtime&, sim::node_id home) {
-        // A reconfigurable lock pinned to the configuration (no monitor /
-        // policy feedback, exactly like an adaptive lock between adaptations).
-        return std::make_unique<locks::reconfigurable_lock>(
-            home, locks::lock_cost_model::butterfly_cthreads(), row.policy);
-      };
-      const double local = time_cycle_us(make, false);
-      const double remote = time_cycle_us(make, true);
-      if (!record) continue;
-      r.metrics.push_back({std::string("cycle_") + row.name + "_local_us", "us", kVirtual, local});
-      r.metrics.push_back({std::string("cycle_") + row.name + "_remote_us", "us", kVirtual, remote});
-    }
-  }
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Table 8: configuration-operation costs (Ψ machinery).
-// ---------------------------------------------------------------------------
-
-double time_config_acquisition(bool remote) {
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::reconfigurable_lock lk(remote ? 7 : 0,
-                                locks::lock_cost_model::butterfly_cthreads());
-  double us = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    (void)co_await lk.acquire_attribute(ctx, "spin-time", 1);
-    us = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return us;
-}
-
-double time_config_policy(bool remote) {
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::reconfigurable_lock lk(remote ? 7 : 0,
-                                locks::lock_cost_model::butterfly_cthreads());
-  double us = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    co_await lk.configure_waiting_policy(ctx, locks::waiting_policy::pure_spin(16));
-    us = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return us;
-}
-
-double time_config_scheduler(bool remote) {
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::reconfigurable_lock lk(remote ? 7 : 0,
-                                locks::lock_cost_model::butterfly_cthreads());
-  double us = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    co_await lk.configure_scheduler(ctx, std::make_unique<locks::priority_scheduler>());
-    us = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return us;
+  const auto policies = table7_policies();
+  return run_local_remote_rows<locks::waiting_policy>(
+      20, policies, "cycle_", cycle_pinned_us, {"as_spin", "as_blocking"});
 }
 
 scenario_result run_config_ops() {
-  constexpr int kInner = 8;
-  scenario_result r;
-  for (int i = 0; i < kInner; ++i) {
-    const bool record = i == 0;
-    const double acq_l = time_config_acquisition(false);
-    const double acq_r = time_config_acquisition(true);
-    const double pol_l = time_config_policy(false);
-    const double pol_r = time_config_policy(true);
-    const double sch_l = time_config_scheduler(false);
-    const double sch_r = time_config_scheduler(true);
-    if (!record) continue;
-    r.metrics.push_back({"acquisition_local_us", "us", kVirtual, acq_l});
-    r.metrics.push_back({"acquisition_remote_us", "us", kVirtual, acq_r});
-    r.metrics.push_back({"configure_policy_local_us", "us", kVirtual, pol_l});
-    r.metrics.push_back({"configure_policy_remote_us", "us", kVirtual, pol_r});
-    r.metrics.push_back({"configure_scheduler_local_us", "us", kVirtual, sch_l});
-    r.metrics.push_back({"configure_scheduler_remote_us", "us", kVirtual, sch_r});
-  }
-  return r;
+  using probe = double (*)(bool);
+  const probe probes[] = {config_acquisition_us, configure_policy_us,
+                          configure_scheduler_us};
+  return run_local_remote_rows<probe>(
+      8, probes, "", [](probe p, bool remote) { return p(remote); },
+      {"acquisition", "configure_policy", "configure_scheduler"});
 }
 
 // ---------------------------------------------------------------------------
-// Figure 1: critical-section-length sweep (reduced grid).
+// Figure 1: critical-section-length sweep (reduced grid: 3 CS lengths, 3
+// columns, 60 iterations).
 // ---------------------------------------------------------------------------
 
+/// The reduced Figure 1 shape shared by the Figure 1 scenario and the policy
+/// ablations that run over "the Fig. 1 grid".
+fig1_shape reduced_fig1_shape() {
+  return {.iterations = 60,
+          .cs_lengths_us = {10, 100, 800},
+          .columns = {{locks::lock_kind::blocking, 0},
+                      {locks::lock_kind::combined, 10},
+                      {locks::lock_kind::adaptive, 0}}};
+}
+
 scenario_result run_fig1_cs_sweep() {
-  const double cs_lengths_us[] = {10, 100, 800};
-  const struct {
-    const char* name;
-    locks::lock_kind kind;
-    std::int64_t spin_limit;
-  } cols[] = {
-      {"blocking", locks::lock_kind::blocking, 0},
-      {"combined10", locks::lock_kind::combined, 10},
-      {"adaptive", locks::lock_kind::adaptive, 0},
-  };
+  const auto shape = reduced_fig1_shape();
+  exec::job_executor ex(1);
+  const auto res = run_cs_sweep(fig1_grid(shape), ex);
+  const auto cols = shape.columns.size();
   scenario_result r;
   double total_ms = 0;
   double total_blocks = 0;
-  for (const auto& col : cols) {
+  for (std::size_t c = 0; c < cols; ++c) {
     double col_ms = 0;
-    for (const double cs : cs_lengths_us) {
-      workload::cs_config cfg;
-      cfg.processors = 6;
-      cfg.threads = 12;
-      cfg.iterations = 60;
-      cfg.cs_length = sim::microseconds(cs);
-      cfg.think_time = sim::microseconds(3 * cs + 100);
-      cfg.kind = col.kind;
-      cfg.params.combined_spin_limit = col.spin_limit;
-      // Multiprogramming-appropriate adaptation constants (as in the bench).
-      cfg.params.adapt = {2, 25, 50, 2};
-      const auto res = run_cs_workload(cfg);
-      col_ms += res.elapsed.ms();
-      total_blocks += static_cast<double>(res.blocks);
+    for (std::size_t row = 0; row < shape.cs_lengths_us.size(); ++row) {
+      col_ms += res[row * cols + c].elapsed.ms();
+      total_blocks += static_cast<double>(res[row * cols + c].blocks);
     }
     total_ms += col_ms;
-    r.metrics.push_back({std::string(col.name) + "_virtual_ms", "ms", kVirtual, col_ms});
+    auto tag = fig1_label(shape.columns[c]);  // "combined(10)" -> "combined10"
+    std::erase_if(tag, [](char ch) { return ch == '(' || ch == ')'; });
+    r.metrics.push_back({tag + "_virtual_ms", "ms", kVirtual, col_ms});
   }
   r.metrics.push_back({"total_virtual_ms", "ms", kVirtual, total_ms});
   r.metrics.push_back({"total_blocks", "count", kVirtual, total_blocks});
@@ -633,15 +481,12 @@ scenario_result run_fig1_cs_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// Figures 4-9: TSP locking patterns (one recorded solve each).
+// Figures 4-9: TSP locking patterns (one recorded solve each, 20 cities).
 // ---------------------------------------------------------------------------
 
 scenario_result run_pattern_figure(tsp::variant v, bool qlock) {
-  auto cfg = tsp_cfg(v, locks::lock_kind::blocking, 10);
-  cfg.record_patterns = true;
-  const auto inst = tsp::instance::random_asymmetric(20, 9001);
-  const auto res = tsp::solve_parallel(inst, cfg);
-  const auto& report = qlock ? res.lock_reports[0] : res.lock_reports[2];
+  const auto res = run_pattern(v, locks::lock_kind::blocking, {.cities = 20});
+  const auto& report = pattern_report(res, qlock);
 
   scenario_result r;
   r.metrics.push_back({"elapsed_virtual_ms", "ms", kVirtual, res.elapsed.ms()});
@@ -656,44 +501,32 @@ scenario_result run_pattern_figure(tsp::variant v, bool qlock) {
 }
 
 // ---------------------------------------------------------------------------
-// Extension: spin vs. blocking by threads-per-processor (reduced).
+// Extension: spin vs. blocking by threads-per-processor (60 iterations).
 // ---------------------------------------------------------------------------
 
 scenario_result run_ext_spin_vs_block() {
+  exec::job_executor ex(1);
+  const std::string combined = "combined" + std::to_string(spin_vs_block_combined_spin);
   scenario_result r;
-  const struct {
-    unsigned threads;
-    unsigned procs;
-    const char* tag;
-  } shapes[] = {{6, 6, "1x"}, {12, 6, "2x"}, {18, 6, "3x"}};
-  for (const auto& s : shapes) {
-    workload::cs_config base;
-    base.processors = s.procs;
-    base.threads = s.threads;
-    base.iterations = 60;
-    base.cs_length = sim::microseconds(100);
-    base.think_time = sim::microseconds(300);
-    if (s.threads <= s.procs) {
-      auto c = base;
-      c.kind = locks::lock_kind::spin;
-      r.metrics.push_back({std::string("spin_") + s.tag + "_virtual_ms", "ms", kVirtual,
-                           run_cs_workload(c).elapsed.ms()});
+  for (const auto& row : run_spin_vs_block({.iterations = 60}, ex)) {
+    const std::string tag = std::to_string(row.threads / row.processors) + "x";
+    if (row.spin_ms) {
+      r.metrics.push_back({"spin_" + tag + "_virtual_ms", "ms", kVirtual, *row.spin_ms});
     }
-    auto cc = base;
-    cc.kind = locks::lock_kind::combined;
-    cc.params.combined_spin_limit = 25;
-    r.metrics.push_back({std::string("combined25_") + s.tag + "_virtual_ms", "ms", kVirtual,
-                         run_cs_workload(cc).elapsed.ms()});
-    auto cb = base;
-    cb.kind = locks::lock_kind::blocking;
-    r.metrics.push_back({std::string("blocking_") + s.tag + "_virtual_ms", "ms", kVirtual,
-                         run_cs_workload(cb).elapsed.ms()});
+    r.metrics.push_back({combined + "_" + tag + "_virtual_ms", "ms", kVirtual,
+                         row.combined_ms});
+    r.metrics.push_back({"blocking_" + tag + "_virtual_ms", "ms", kVirtual,
+                         row.blocking_ms});
   }
   return r;
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: constant-wire vs. staged-butterfly interconnect (reduced).
+// Ablation: constant-wire vs. staged-butterfly interconnect. Not the
+// bench_abl_interconnect binary's experiment: that one drives its own thread
+// loop and reports network counters; this one runs the run_cs_workload hot
+// spot (10 threads on 10 processors, CS 60 us) for the spin and adaptive
+// locks only.
 // ---------------------------------------------------------------------------
 
 scenario_result run_abl_interconnect() {
@@ -719,38 +552,29 @@ scenario_result run_abl_interconnect() {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: simple-adapt constants sweep (reduced grid).
+// Ablation: simple-adapt constants sweep (reduced: 14 cities, 2 x 2 grid).
 // ---------------------------------------------------------------------------
 
 scenario_result run_abl_threshold() {
-  constexpr unsigned kCities = 14;
-  const auto inst = tsp::instance::random_asymmetric(kCities, 9001);
+  exec::job_executor ex(1);
+  const auto cells =
+      run_threshold_sweep({.cities = 14, .thresholds = {1, 12}, .ns = {5, 20}}, ex);
   scenario_result r;
-  {
-    auto cfg = tsp_cfg(tsp::variant::centralized, locks::lock_kind::blocking, 10);
-    const auto res = tsp::solve_parallel(inst, cfg);
-    r.metrics.push_back({"blocking_baseline_virtual_ms", "ms", kVirtual, res.elapsed.ms()});
-  }
-  for (const std::int64_t threshold : {1, 12}) {
-    for (const std::int64_t n : {5, 20}) {
-      auto cfg = tsp_cfg(tsp::variant::centralized, locks::lock_kind::adaptive, 10);
-      cfg.run.params.adapt.waiting_threshold = threshold;
-      cfg.run.params.adapt.n = n;
-      const auto res = tsp::solve_parallel(inst, cfg);
-      r.metrics.push_back({"t" + std::to_string(threshold) + "_n" + std::to_string(n) +
-                               "_virtual_ms",
-                           "ms", kVirtual, res.elapsed.ms()});
-    }
+  r.metrics.push_back({"blocking_baseline_virtual_ms", "ms", kVirtual, cells[0].elapsed_ms});
+  for (std::size_t i = 1; i < cells.size(); ++i) {
+    r.metrics.push_back({"t" + std::to_string(cells[i].threshold) + "_n" +
+                             std::to_string(cells[i].n) + "_virtual_ms",
+                         "ms", kVirtual, cells[i].elapsed_ms});
   }
   return r;
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: adaptation-policy sweep over the Figure 1 grid.
+// Ablation: adaptation-policy sweep over the reduced Figure 1 grid, adaptive
+// column only.
 // ---------------------------------------------------------------------------
 
 scenario_result run_abl_policy() {
-  const double cs_lengths_us[] = {10, 100, 800};
   // The registered policy family plus one wrapped variant; the empty spec is
   // the default simple-adapt (the plain-adaptive reference column).
   using policy::policy_registry;
@@ -767,18 +591,12 @@ scenario_result run_abl_policy() {
       // paper's monitoring-overhead tradeoff against the period-2 columns.
       {"break_even_p8", policy_registry::default_spec("break-even", 8)},
   };
+  const auto shape = reduced_fig1_shape();
   scenario_result r;
   for (const auto& col : cols) {
     double col_ms = 0;
-    for (const double cs : cs_lengths_us) {
-      workload::cs_config cfg;
-      cfg.processors = 6;
-      cfg.threads = 12;
-      cfg.iterations = 60;
-      cfg.cs_length = sim::microseconds(cs);
-      cfg.think_time = sim::microseconds(3 * cs + 100);
-      cfg.kind = locks::lock_kind::adaptive;
-      cfg.params.adapt = {2, 25, 50, 2};
+    for (const double cs : shape.cs_lengths_us) {
+      auto cfg = fig1_point(shape, cs, {locks::lock_kind::adaptive, 0});
       cfg.params.policy = col.spec;
       const auto res = run_cs_workload(cfg);
       col_ms += res.elapsed.ms();
@@ -793,32 +611,28 @@ scenario_result run_abl_policy() {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: sync vs async policy execution (src/policy/runtime). The async
-// rows queue observations at the feedback point (zero inline policy cost)
-// and a daemon on a spare processor drains them periodically; all metrics
-// are virtual-clock and therefore gated exactly.
+// Ablation: sync vs async policy execution (src/policy/runtime) of the
+// break-even policy over the reduced Figure 1 grid. Not the
+// bench_abl_async_policy binary's experiment (6 contenders, one CS length,
+// three execution-mode rows). The async rows queue observations at the
+// feedback point (zero inline policy cost) and a daemon on a spare processor
+// drains them periodically; all metrics are virtual-clock and therefore
+// gated exactly.
 // ---------------------------------------------------------------------------
 
 scenario_result run_abl_async_policy() {
-  const double cs_lengths_us[] = {10, 100, 800};
   const struct {
     const char* tag;
     bool async;
   } cols[] = {{"sync", false}, {"async", true}};
+  const auto shape = reduced_fig1_shape();
   scenario_result r;
   for (const auto& col : cols) {
     double col_ms = 0;
     std::uint64_t ticks = 0;
     std::uint64_t pumped = 0;
-    for (const double cs : cs_lengths_us) {
-      workload::cs_config cfg;
-      cfg.processors = 6;
-      cfg.threads = 12;
-      cfg.iterations = 60;
-      cfg.cs_length = sim::microseconds(cs);
-      cfg.think_time = sim::microseconds(3 * cs + 100);
-      cfg.kind = locks::lock_kind::adaptive;
-      cfg.params.adapt = {2, 25, 50, 2};
+    for (const double cs : shape.cs_lengths_us) {
+      auto cfg = fig1_point(shape, cs, {locks::lock_kind::adaptive, 0});
       cfg.params.policy = policy::policy_registry::default_spec("break-even");
       if (col.async) cfg.params.policy.with_async();
       const auto res = run_cs_workload(cfg);
@@ -1082,10 +896,11 @@ std::vector<scenario> make_registry() {
       [] { return run_tsp_scenario(tsp::variant::distributed); });
   add("bench_table3_tsp_distlb", "Table 3: distributed+LB TSP, blocking vs adaptive",
       [] { return run_tsp_scenario(tsp::variant::distributed_lb); });
-  add("bench_table4_lock_cost", "Table 4: Lock-op cost, every kind, local/remote",
-      [] { return run_lock_op_costs(false); });
-  add("bench_table5_unlock_cost", "Table 5: Unlock-op cost, every kind, local/remote",
-      [] { return run_lock_op_costs(true); });
+  add("bench_table4_lock_cost", "Table 4: Lock-op cost, every row, local/remote",
+      run_lock_op_costs);
+  add("bench_table5_unlock_cost",
+      "Table 5: Unlock-op cost (mean of 8 unlocks), every row, local/remote",
+      run_unlock_op_costs);
   add("bench_table6_cycle_static", "Table 6: locking cycle, static locks",
       run_cycle_static);
   add("bench_table7_cycle_adaptive", "Table 7: locking cycle, pinned adaptive lock",
@@ -1108,14 +923,18 @@ std::vector<scenario> make_registry() {
       [] { return run_pattern_figure(tsp::variant::distributed_lb, false); });
   add("bench_ext_spin_vs_block", "extension: spin vs blocking by threads/processor",
       run_ext_spin_vs_block);
-  add("bench_abl_interconnect", "ablation: constant-wire vs staged butterfly",
+  add("bench_abl_interconnect",
+      "ablation: constant-wire vs staged butterfly, cs-workload hot spot, spin + adaptive "
+      "(not the binary's rows)",
       run_abl_interconnect);
   add("bench_abl_threshold", "ablation: simple-adapt Waiting-Threshold x n",
       run_abl_threshold);
-  add("bench_abl_policy", "ablation: adaptation-policy family over the Fig. 1 grid",
+  add("bench_abl_policy",
+      "ablation: adaptation-policy family over the reduced Fig. 1 grid (no binary)",
       run_abl_policy);
   add("bench_abl_async_policy",
-      "ablation: sync vs async policy execution over the Fig. 1 grid",
+      "ablation: sync vs async break-even policy over the reduced Fig. 1 grid "
+      "(not the binary's rows)",
       run_abl_async_policy);
   add("bench_hashmap_insert", "objects: hash-map insert storm, fixed vs adaptive stripes",
       [] { return run_hashmap_bench(map_mix::insert); });

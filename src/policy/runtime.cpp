@@ -92,8 +92,8 @@ bool async_runtime::apply_external_demotion(std::size_t i,
     r.demoted = true;
     ++demotions_;
     r.lock->stats().on_reconfigure(now, ct::invalid_thread, 0,
-                                   locks::describe(pol), "fed-coordinator",
-                                   "[cross-shard]");
+                                   [&pol] { return locks::describe(pol); },
+                                   "fed-coordinator", "[cross-shard]");
     return true;
   }
   return false;
@@ -141,8 +141,8 @@ ct::task<void> async_runtime::charge(ct::context& ctx, const registration& r,
       if (auto* p = dynamic_cast<const locks::lock_adapt_policy*>(r.lock->policy())) {
         const auto& d = p->last_decision();
         r.lock->stats().on_reconfigure(ctx.now(), ctx.self(), d.sensor_value,
-                                       locks::describe(d.applied), p->policy_name(),
-                                       d.sensors);
+                                       [&d] { return locks::describe(d.applied); },
+                                       p->policy_name(), d.sensors);
       }
     }
   }
@@ -183,7 +183,8 @@ ct::task<void> async_runtime::coordinate(ct::context& ctx) {
       co_await ctx.touch(r.lock->home(), sim::access_kind::write, 1);
       r.lock->stats().on_reconfigure(ctx.now(), ctx.self(),
                                      static_cast<std::int64_t>(r.idle_streak),
-                                     locks::describe(cc.idle_policy), "coordinator",
+                                     [&cc] { return locks::describe(cc.idle_policy); },
+                                     "coordinator",
                                      "[idle-ticks=" + std::to_string(r.idle_streak) +
                                          "]");
     }

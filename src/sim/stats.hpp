@@ -49,48 +49,6 @@ class accumulator {
   double max_{-std::numeric_limits<double>::infinity()};
 };
 
-/// Fixed-width linear histogram with overflow bucket; used for waiting-time
-/// and queue-depth distributions in lock statistics.
-class histogram {
- public:
-  histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), buckets_(buckets, 0), overflow_(0), underflow_(0) {}
-
-  void add(double x) {
-    if (x < lo_) {
-      ++underflow_;
-      return;
-    }
-    if (x >= hi_) {
-      ++overflow_;
-      return;
-    }
-    const auto idx = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                              static_cast<double>(buckets_.size()));
-    ++buckets_[std::min(idx, buckets_.size() - 1)];
-  }
-
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(buckets_.size());
-  }
-  [[nodiscard]] std::uint64_t total() const {
-    std::uint64_t t = underflow_ + overflow_;
-    for (auto b : buckets_) t += b;
-    return t;
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t overflow_;
-  std::uint64_t underflow_;
-};
-
 /// HDR-style log-linear histogram over non-negative integer values (latency
 /// nanoseconds). Each power-of-two octave is split into 2^sub_bits linear
 /// sub-buckets, so relative quantile error is bounded by 2^-sub_bits (~3% at

@@ -87,10 +87,11 @@ TEST(Monitor, DetectsStarvationBeyondTheOvertakeBound) {
 
 TEST(Monitor, DetectsAbbaDeadlockAtQuiescence) {
   ct::runtime rt(sim::machine_config::test_machine(2));
-  monitor mon(rt);
   const auto cost = locks::lock_cost_model::fast_test();
   locks::blocking_lock a(0, cost);
   locks::blocking_lock b(0, cost);
+  // Declared after the locks it watches: ~monitor detaches from each of them.
+  monitor mon(rt);
   mon.watch(a, "a");
   mon.watch(b, "b");
   rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "ct/context.hpp"
 
 namespace adx::locks {
@@ -200,6 +205,63 @@ TEST(AdaptiveLock, StableStateStopsReconfiguring) {
   // no-contention state and issues no further Ψ.
   EXPECT_EQ(lk.costs().reconfiguration_ops, 1u);
   EXPECT_EQ(lk.policy()->decisions(), 1u);
+}
+
+struct decision_recorder final : lock_event_observer {
+  std::vector<std::string> decisions;
+  void on_reconfigure(lock_object&, sim::vtime, std::uint32_t,
+                      std::string_view decision) override {
+    decisions.emplace_back(decision);
+  }
+};
+
+TEST(LockStats, DecisionTextBuiltOnlyWhenSomethingReadsIt) {
+  adaptive_lock lk(0, cost());
+  int built = 0;
+  const auto describe = [&built] {
+    ++built;
+    return std::string("pure-spin(7)");
+  };
+  // Nothing attached: the Ψ is counted, its text never formatted.
+  lk.stats().on_reconfigure(sim::vtime{10}, 0, 3, describe);
+  EXPECT_EQ(built, 0);
+  EXPECT_EQ(lk.stats().reconfigures(), 1u);
+
+  decision_recorder rec;
+  lk.attach_observer(&rec);
+  lk.stats().on_reconfigure(sim::vtime{20}, 0, 3, describe);
+  EXPECT_EQ(built, 1);
+  EXPECT_EQ(lk.stats().reconfigures(), 2u);
+  ASSERT_EQ(rec.decisions.size(), 1u);
+  EXPECT_EQ(rec.decisions[0], "pure-spin(7)");
+  lk.attach_observer(nullptr);
+}
+
+TEST(AdaptiveLock, ObserverSeesEveryDecisionWithoutChangingTheRun) {
+  const auto run = [](lock_event_observer* o) {
+    ct::runtime rt(mc());
+    adaptive_lock lk(0, cost(), {}, waiting_policy::mixed(10));
+    lk.attach_observer(o);
+    for (unsigned t = 0; t < 3; ++t) {
+      rt.fork(t, [&](ct::context& ctx) -> ct::task<void> {
+        for (int i = 0; i < 20; ++i) {
+          co_await lk.lock(ctx);
+          co_await ctx.compute(sim::microseconds(40));
+          co_await lk.unlock(ctx);
+        }
+      });
+    }
+    const auto end = rt.run_all().end_time;
+    lk.attach_observer(nullptr);
+    return std::pair{end, lk.stats().reconfigures()};
+  };
+  const auto bare = run(nullptr);
+  decision_recorder rec;
+  const auto watched = run(&rec);
+  EXPECT_EQ(bare, watched);
+  EXPECT_GE(bare.second, 1u);
+  ASSERT_EQ(rec.decisions.size(), bare.second);
+  for (const auto& d : rec.decisions) EXPECT_FALSE(d.empty());
 }
 
 TEST(AdaptiveLock, KindString) {

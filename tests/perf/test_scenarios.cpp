@@ -8,6 +8,8 @@
 #include <set>
 #include <string>
 
+#include "perf/probes.hpp"
+
 namespace adx::perf {
 namespace {
 
@@ -55,6 +57,35 @@ TEST(Scenarios, AsyncPolicyScenarioRunsTheDaemon) {
   EXPECT_GT(value("async_total_virtual_ms"), 0.0);
   EXPECT_GT(value("async_daemon_ticks"), 0.0);
   EXPECT_GT(value("async_pumped"), 0.0);
+}
+
+// The micro-cost scenarios gate exactly the figures their tables print: both
+// consumers run the probes in perf/probes.hpp. Table 5 in particular gates
+// the table's 8-unlock mean, where the adaptive lock's amortized monitor
+// sample shows (a single unlock would read 14 us locally, not 49.75).
+TEST(Scenarios, CostTableScenariosGateTheProbesTheTablesPrint) {
+  const auto metric = [](const char* scenario, const std::string& name) -> double {
+    const auto* sc = find_scenario(scenario);
+    if (sc == nullptr) {
+      ADD_FAILURE() << "scenario not found: " << scenario;
+      return 0.0;
+    }
+    for (const auto& m : run_scenario(*sc, 1, 0).metrics) {
+      if (m.name == name) return m.stats.median;
+    }
+    ADD_FAILURE() << "metric not found: " << scenario << ":" << name;
+    return 0.0;
+  };
+  const auto adaptive = locks::lock_kind::adaptive;
+  EXPECT_EQ(metric("bench_table5_unlock_cost", "unlock_adaptive_local_us"),
+            unlock_op_us(adaptive, false));
+  EXPECT_EQ(unlock_op_us(adaptive, false), 49.75);
+  EXPECT_EQ(metric("bench_table4_lock_cost", "lock_adaptive_remote_us"),
+            lock_op_us(adaptive, true));
+  EXPECT_EQ(metric("bench_table7_cycle_adaptive", "cycle_as_blocking_local_us"),
+            cycle_pinned_us(table7_policies().at(1), false));
+  EXPECT_EQ(metric("bench_table8_config_ops", "configure_scheduler_remote_us"),
+            configure_scheduler_us(true));
 }
 
 TEST(Scenarios, FindRejectsUnknownNames) {

@@ -55,43 +55,6 @@ TEST(Accumulator, ResetClears) {
   EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsValues) {
-  histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.7);
-  h.add(9.99);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OverflowUnderflow) {
-  histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(10.0);  // hi edge is exclusive
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, BucketLowerEdges) {
-  histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-}
-
-TEST(Histogram, NonZeroOrigin) {
-  histogram h(100.0, 200.0, 4);
-  h.add(125.0);
-  h.add(199.0);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-}
-
 TEST(LogHistogram, EmptyQuantileIsZero) {
   log_histogram h;
   EXPECT_EQ(h.count(), 0u);
