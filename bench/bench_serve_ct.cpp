@@ -38,8 +38,6 @@ int main(int argc, char** argv) {
                "lock-guarded service demand (us)")
           .u64("shards", base.shards, "DES shards (virtual results identical for any value)")
           .u64("seed", base.seed, "run seed (arrival processes + domain streams)")
-          .flag("adaptive-lookahead",
-                "widen sync windows over quiet rounds (virtual results identical)")
           .str("telemetry", "",
                "stream per-kind latency histograms and live adaptation events "
                "to this endpoint (unix:PATH or tcp:HOST:PORT)")
@@ -74,13 +72,10 @@ int main(int argc, char** argv) {
   base.service = sim::microseconds(static_cast<double>(opt.get_u64("service_us")));
   base.seed = opt.get_u64("seed");
   base.shards = static_cast<unsigned>(opt.get_u64("shards"));
-  base.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
 
   exec::job_executor ex(bench::jobs_from(opt));
-  std::fprintf(stderr,
-               "(%u DES shards, %u workers%s, windowed conservative lookahead)\n",
-               base.shards, ex.jobs(),
-               base.adaptive_lookahead ? ", adaptive lookahead" : "");
+  std::fprintf(stderr, "(%u DES shards, %u workers, windowed conservative lookahead)\n",
+               base.shards, ex.jobs());
 
   std::printf("Open-loop ct serving: request latency by lock kind (us)\n"
               "(%u groups x %u nodes, %u server threads/group, %llu requests/"

@@ -9,9 +9,9 @@
 // boundaries through federation::post() — the workload the conservative-
 // lookahead protocol exists for.
 //
-// Virtual-time results are bit-identical for every --shards / --jobs value
-// and for --adaptive-lookahead (horizon-only traffic); those knobs only
-// change wall-clock cost, so CI byte-diffs this report across all of them.
+// Virtual-time results are bit-identical for every --shards / --jobs value;
+// those knobs only change wall-clock cost, so CI byte-diffs this report
+// across all of them.
 #include "bench_common.hpp"
 #include "workload/sharded_cs.hpp"
 
@@ -34,9 +34,7 @@ int main(int argc, char** argv) {
           .u64("remote_every", base.remote_every,
                "post an echo to the next group every Nth iteration")
           .u64("shards", base.shards, "DES shards (virtual results identical for any value)")
-          .u64("seed", base.seed, "run seed (think-time jitter + domain streams)")
-          .flag("adaptive-lookahead",
-                "widen sync windows over quiet rounds (virtual results identical)");
+          .u64("seed", base.seed, "run seed (think-time jitter + domain streams)");
   opt.parse(argc, argv);
 
   base.machine = sim::machine_config::hierarchical_numa(
@@ -49,15 +47,12 @@ int main(int argc, char** argv) {
   base.remote_every = opt.get_u64("remote_every");
   base.seed = opt.get_u64("seed");
   base.shards = static_cast<unsigned>(opt.get_u64("shards"));
-  base.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
 
-  // The shard/worker/lookahead knobs go to stderr: stdout carries only
+  // The shard and worker knobs go to stderr: stdout carries only
   // virtual-time results, so CI can byte-diff reports across all of them.
   exec::job_executor ex(bench::jobs_from(opt));
-  std::fprintf(stderr,
-               "(%u DES shards, %u workers%s, windowed conservative lookahead)\n",
-               base.shards, ex.jobs(),
-               base.adaptive_lookahead ? ", adaptive lookahead" : "");
+  std::fprintf(stderr, "(%u DES shards, %u workers, windowed conservative lookahead)\n",
+               base.shards, ex.jobs());
 
   std::printf("Federated ct critical-section sweep (virtual time)\n"
               "(%u groups x %u nodes, %u client threads/group, %llu iterations, "

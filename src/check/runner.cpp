@@ -107,8 +107,8 @@ ct::task<void> configurator(ct::context& ctx, locks::reconfigurable_lock& rl,
 
 check_result run_with(const check_params& p, sim::perturber& pert) {
   const auto mc = p.config.effective_machine();
-  auto dom = sim::make_event_domain(mc, {.shards = 1, .seed = mc.seed});
-  ct::runtime rt(mc, dom->queue_of(0));
+  sim::event_domain dom(mc, {.shards = 1, .seed = mc.seed});
+  ct::runtime rt(mc, dom.queue_of(0));
   rt.set_perturber(&pert);
 
   const locks::lock_cost_model cost{};
@@ -161,7 +161,7 @@ check_result run_with(const check_params& p, sim::perturber& pert) {
   art.adopt_lock(*lk, p.config.params, cost);
   art.start(rt);
 
-  const auto events = dom->run(nullptr, p.max_events);
+  const auto events = dom.run(nullptr, p.max_events);
   const auto r = rt.finish(events);
   mon.finish(r);
 

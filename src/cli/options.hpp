@@ -85,7 +85,6 @@ class options {
       if (d == nullptr) die("unknown flag: --" + std::string(name));
       if (d->k == kind::boolean) {
         if (has_value) die("flag --" + d->name + " takes no value");
-        d->value = "1";
         d->set = true;
         continue;
       }

@@ -98,8 +98,6 @@ std::string run_config::to_json() const {
   os << ",\"seed\":" << seed;
   // The object axis is emitted only when set, so pure lock configs keep
   // their historical shape (and replay journals stay byte-stable).
-  if (shards != 1) os << ",\"shards\":" << shards;
-  if (adaptive_lookahead) os << ",\"adaptive_lookahead\":true";
   if (!object.empty()) os << ",\"object\":" << json_str(object);
   if (!object_policy.is_default()) {
     os << ",\"object_policy\":" << object_policy.to_json();
@@ -172,8 +170,6 @@ run_config run_config::from_json(std::string_view text) {
     read_num(to, "latency_spike_us", rc.perturb.latency_spike_us);
   }
   if (const auto* s = json_find(o, "seed")) rc.seed = s->number<std::uint64_t>();
-  if (const auto* sh = json_find(o, "shards")) rc.shards = sh->number<unsigned>();
-  read_bool(o, "adaptive_lookahead", rc.adaptive_lookahead);
   if (const auto* ob = json_find(o, "object")) rc.object = ob->str();
   if (const auto* op = json_find(o, "object_policy")) {
     rc.object_policy = policy::policy_spec::from_json_value(*op);

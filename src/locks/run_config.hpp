@@ -25,7 +25,6 @@
 #include <string_view>
 
 #include "locks/factory.hpp"
-#include "sim/event_domain.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/perturb.hpp"
 
@@ -47,15 +46,6 @@ struct run_config {
   /// Object-level adaptation policy (stripe-adapt / mode-adapt). The default
   /// spec means "the object's own default policy".
   policy::policy_spec object_policy{};
-  /// DES shards for workloads running on an execution domain (federated ct
-  /// sweeps, open-loop serving). 1 = the sequential queue; results are
-  /// bit-identical at every value, so this is purely a wall-clock knob.
-  unsigned shards = 1;
-  /// Opt-in adaptive lookahead for the execution domain: windows widen over
-  /// quiet rounds and decay on cross-shard traffic. Virtual results stay
-  /// bit-identical to the fixed-lookahead run for workloads whose sends all
-  /// travel at exactly the horizon (everything federation::post ships).
-  bool adaptive_lookahead = false;
 
   friend bool operator==(const run_config&, const run_config&) = default;
 
@@ -101,23 +91,6 @@ struct run_config {
     object_policy = std::move(spec);
     return *this;
   }
-  run_config& with_shards(unsigned s) {
-    shards = s;
-    return *this;
-  }
-  run_config& with_adaptive_lookahead(bool on = true) {
-    adaptive_lookahead = on;
-    return *this;
-  }
-
-  /// The domain options this config asks for (seed falls back to the
-  /// machine's when no run seed is set).
-  [[nodiscard]] sim::domain_options domain_options() const {
-    return {.shards = shards,
-            .seed = seed != 0 ? seed : machine.seed,
-            .adaptive_lookahead = adaptive_lookahead};
-  }
-
   /// The machine configuration to actually instantiate: `machine` with its
   /// RNG seed replaced by the run seed (when one is set).
   [[nodiscard]] sim::machine_config effective_machine() const {

@@ -334,7 +334,9 @@ inline constexpr fig1_column fig1_columns[] = {
 /// "blocking", "combined(10)", "adaptive", ...
 inline std::string fig1_label(const fig1_column& c) {
   std::string s = locks::to_string(c.kind);
-  if (c.kind == locks::lock_kind::combined) s += "(" + std::to_string(c.spin_limit) + ")";
+  if (c.kind == locks::lock_kind::combined) {
+    s.append("(").append(std::to_string(c.spin_limit)).append(")");
+  }
   return s;
 }
 

@@ -562,9 +562,12 @@ scenario_result run_abl_threshold() {
   scenario_result r;
   r.metrics.push_back({"blocking_baseline_virtual_ms", "ms", kVirtual, cells[0].elapsed_ms});
   for (std::size_t i = 1; i < cells.size(); ++i) {
-    r.metrics.push_back({"t" + std::to_string(cells[i].threshold) + "_n" +
-                             std::to_string(cells[i].n) + "_virtual_ms",
-                         "ms", kVirtual, cells[i].elapsed_ms});
+    std::string name = "t";
+    name.append(std::to_string(cells[i].threshold))
+        .append("_n")
+        .append(std::to_string(cells[i].n))
+        .append("_virtual_ms");
+    r.metrics.push_back({std::move(name), "ms", kVirtual, cells[i].elapsed_ms});
   }
   return r;
 }

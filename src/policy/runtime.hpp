@@ -68,7 +68,9 @@ struct runtime_config {
   int priority = -1;
   /// Safety stop after this many ticks; 0 = run until the workload drains.
   std::uint64_t max_ticks = 0;
-  coordinator_config coord;
+  /// Cross-object coordination. The `{}` lets designated initializers omit
+  /// it without -Wmissing-field-initializers.
+  coordinator_config coord{};
 };
 
 /// The periodic policy runtime. Register async-mode objects, `start()` it

@@ -18,16 +18,13 @@
 //     order.
 //
 // There is one engine. `shards=1` is the same window grid with one shard:
-// the same barrier positions, the same delivery batches, the same
-// adaptive-lookahead state machine driven only by shard-invariant
-// delivered-send counts. Sends still wait for the barrier merge even with a
-// single heap, so tie-break seqs follow merge order, never emission order —
-// and a workload that follows the discipline produces bit-identical results
-// at every shard and worker count.
+// the same barrier positions and the same delivery batches. Sends still wait
+// for the barrier merge even with a single heap, so tie-break seqs follow
+// merge order, never emission order — and a workload that follows the
+// discipline produces bit-identical results at every shard and worker count.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -46,8 +43,6 @@ namespace adx::sim {
 struct domain_stats {
   std::uint64_t windows = 0;          ///< synchronization rounds executed
   std::uint64_t cross_sends = 0;      ///< deliveries merged at barriers
-  std::uint64_t widened_windows = 0;  ///< rounds run with widen factor > 1
-  std::uint64_t peak_widen = 1;       ///< largest widen factor reached
   std::uint64_t slab_slots = 0;       ///< callback slots acquired, all queues
   std::uint64_t callback_spills = 0;  ///< oversized callbacks spilled to heap
 
@@ -62,17 +57,12 @@ struct domain_options {
   unsigned shards = 1;
   /// Seed for the per-place streams (a workload typically passes its own).
   std::uint64_t seed = 0x5eedULL;
-  /// Opt-in adaptive lookahead: widen the window up to `max_widen` L-sized
-  /// sub-segments after rounds with zero cross-place traffic; decay to 1 on
-  /// any delivery. L stays the correctness floor.
-  bool adaptive_lookahead = false;
-  unsigned max_widen = 8;
 };
 
 class event_domain {
  public:
   /// One place per NUMA group of `cfg`, lookahead from its interconnect.
-  event_domain(const machine_config& cfg, const domain_options& opt);
+  explicit event_domain(const machine_config& cfg, const domain_options& opt = {});
 
   /// Number of places (== the machine's NUMA group count).
   [[nodiscard]] unsigned places() const { return places_; }
@@ -123,9 +113,5 @@ class event_domain {
   sharded_event_queue q_;
   std::vector<rng> streams_;
 };
-
-/// Builds the domain `cfg` calls for (see event_domain's constructor).
-[[nodiscard]] std::unique_ptr<event_domain> make_event_domain(
-    const machine_config& cfg, const domain_options& opt = {});
 
 }  // namespace adx::sim

@@ -46,9 +46,8 @@ void event_queue::grow_slab() {
   for (std::uint32_t i = 0; i + 1 < kEventsPerChunk; ++i) {
     chunk[i].next_free = base + i + 1;
   }
-  // Splice ahead of any existing freelist (reserve_slots grows while slots
-  // are still free; the hot path only grows when free_head_ == kNoSlot).
-  chunk[kEventsPerChunk - 1].next_free = free_head_;
+  // Only called once the freelist is empty (free_head_ == kNoSlot).
+  chunk[kEventsPerChunk - 1].next_free = kNoSlot;
   free_head_ = base;
 }
 

@@ -109,14 +109,6 @@ class event_queue {
   }
   [[nodiscard]] std::size_t slab_free() const;
 
-  /// Grows this queue's private slab until at least `n` slots are free, so a
-  /// burst of `n` schedules performs no allocation. Each queue owns its
-  /// arena outright — under the sharded DES, shards pre-size before the run
-  /// and parallel windows never touch a shared allocator.
-  void reserve_slots(std::size_t n) {
-    while (slab_capacity() - pending() < n) grow_slab();
-  }
-
   /// Slots ever acquired == events ever scheduled (processed() + pending()).
   /// A pure function of the logical schedule, so it is invariant under
   /// re-sharding — the virtual-metrics hook for the slab-locality claim.

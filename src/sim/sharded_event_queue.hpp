@@ -99,41 +99,12 @@ class sharded_event_queue {
   /// barriers — is shard-invariant too. `ex` may be null (sequential).
   std::uint64_t run_budgeted(exec::job_executor* ex, std::uint64_t max_events);
 
-  /// Adaptive lookahead (opt-in; off by default so the base contract stays
-  /// byte-for-byte what PR 8 shipped). When a whole round moves zero
-  /// cross-shard deliveries, the next round runs up to `max_widen`
-  /// consecutive L-sized sub-segments in one go — with a delivery barrier
-  /// after every sub-segment, so L remains the correctness floor and any
-  /// send still lands at a grid barrier at or before its timestamp. Any
-  /// delivered traffic decays the factor back to 1. The widening state is
-  /// driven only by the delivered-send count, which is itself
-  /// shard-invariant, so results stay bit-identical at every shard/worker
-  /// count; workloads that always send exactly at the horizon (now + L) are
-  /// additionally bit-identical to their non-adaptive runs.
-  void set_adaptive_lookahead(bool on, unsigned max_widen = 8) {
-    adaptive_ = on;
-    max_widen_ = max_widen < 1 ? 1 : max_widen;
-    if (!on) widen_ = 1;
-  }
-  [[nodiscard]] bool adaptive_lookahead() const { return adaptive_; }
-  /// Rounds that ran with a widened (> 1 sub-segment) horizon.
-  [[nodiscard]] std::uint64_t widened_windows() const { return widened_windows_; }
-  /// Largest widen factor any round actually used.
-  [[nodiscard]] std::uint64_t peak_widen() const { return peak_widen_; }
-
   /// Direct access to one shard's queue (setup, and events running on that
   /// shard). The sharded workloads hand each node group's machine its
   /// shard's queue so all thread scheduling stays shard-local.
   [[nodiscard]] event_queue& shard_queue(unsigned shard) { return shards_.at(shard).q; }
   [[nodiscard]] const event_queue& shard_queue(unsigned shard) const {
     return shards_.at(shard).q;
-  }
-
-  /// Pre-sizes every shard's private callback slab so the parallel windows
-  /// of a run with bursts of up to `per_shard` in-flight events never
-  /// allocate (see event_queue::reserve_slots).
-  void reserve_slots(std::size_t per_shard) {
-    for (auto& s : shards_) s.q.reserve_slots(per_shard);
   }
 
   /// The given shard's clock (its last executed event's timestamp).
@@ -178,21 +149,16 @@ class sharded_event_queue {
   /// One synchronization round; returns the events it ran, which is 0 only
   /// when fully drained (a live round always runs its earliest event).
   std::uint64_t window(exec::job_executor* ex);
-  /// Flushes all outboxes in (at, origin) order; returns deliveries made.
-  std::uint64_t deliver_outboxes();
+  /// Flushes all outboxes in (at, origin) order.
+  void deliver_outboxes();
   /// deliver_outboxes' slow path: at least one outbox is non-empty.
-  std::uint64_t merge_outboxes();
+  void merge_outboxes();
 
   std::vector<shard> shards_;
   std::vector<pending_send> merged_;  ///< barrier merge buffer, reused
   vdur lookahead_;
   std::uint64_t windows_{0};
   std::uint64_t cross_sends_{0};
-  bool adaptive_{false};
-  unsigned max_widen_{8};
-  std::uint64_t widen_{1};
-  std::uint64_t widened_windows_{0};
-  std::uint64_t peak_widen_{1};
 };
 
 }  // namespace adx::sim

@@ -33,6 +33,12 @@ struct cursor {
   std::string_view buf;
   std::size_t pos{0};
   bool ok{true};
+  const char* fault = "truncated field";  ///< why ok went false
+
+  void fail(const char* why) {
+    ok = false;
+    fault = why;
+  }
 
   [[nodiscard]] bool have(std::size_t n) const { return ok && buf.size() - pos >= n; }
 
@@ -194,9 +200,16 @@ bool decode_body(cursor& c, metrics_msg& m) {
     h.min = c.f64();
     h.max = c.f64();
     const std::uint32_t nb = c.u32();
+    if (c.ok && (h.sub_per_octave == 0 || h.sub_per_octave > hist_snapshot::kMaxSubPerOctave ||
+                 h.bucket_count == 0 ||
+                 h.bucket_count > 1 + hist_snapshot::kMaxOctaves * h.sub_per_octave ||
+                 nb > h.bucket_count)) {
+      c.fail("histogram geometry out of range");
+    }
     for (std::uint32_t j = 0; j < nb && c.ok; ++j) {
       const std::uint32_t idx = c.u32();
       const std::uint64_t n = c.u64();
+      if (c.ok && idx >= h.bucket_count) c.fail("histogram bucket index out of range");
       h.buckets.emplace_back(idx, n);
     }
     m.histograms.push_back(std::move(h));
@@ -241,7 +254,7 @@ bool decode_as(std::string_view payload, message& out, std::string* err,
   if (!decode_body(c, m)) {
     if (err != nullptr) {
       *err = std::string("malformed ") + what + " payload (" +
-             (c.ok ? "trailing bytes" : "truncated field") + ")";
+             (c.ok ? "trailing bytes" : c.fault) + ")";
     }
     return false;
   }

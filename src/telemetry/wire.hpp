@@ -79,7 +79,14 @@ struct trace_event_msg {
 /// One log_histogram's state, sparse (non-zero buckets only). Geometry
 /// (min_value, sub_per_octave, bucket_count) rides along so the receiver
 /// reconstructs an identical histogram and merged percentiles are exact.
+/// The receiver allocates bucket_count counters, so decoding rejects a
+/// snapshot whose sub_per_octave is outside [1, kMaxSubPerOctave], whose
+/// bucket_count is outside [1, 1 + kMaxOctaves * sub_per_octave], or whose
+/// sparse buckets are more than bucket_count or index past it.
 struct hist_snapshot {
+  static constexpr std::uint32_t kMaxSubPerOctave = 64;
+  static constexpr std::uint32_t kMaxOctaves = 64;
+
   std::string name;
   double min_value{1.0};
   std::uint32_t sub_per_octave{8};

@@ -39,8 +39,8 @@ client_server_result run_client_server(const client_server_config& cfg) {
     throw std::invalid_argument("client_server: bad processor/client counts");
   }
 
-  auto dom = sim::make_event_domain(cfg.machine, {.shards = 1, .seed = cfg.seed});
-  ct::runtime rt(cfg.machine, dom->queue_of(0));
+  sim::event_domain dom(cfg.machine, {.shards = 1, .seed = cfg.seed});
+  ct::runtime rt(cfg.machine, dom.queue_of(0));
   // The board lock: a reconfigurable lock in pure-sleep configuration so
   // every contended waiter goes through the scheduler's registration queue —
   // which is the component under test.
@@ -143,7 +143,7 @@ client_server_result run_client_server(const client_server_config& cfg) {
         /*priority=*/0);
   }
 
-  const auto events = dom->run(nullptr, cfg.max_events);
+  const auto events = dom.run(nullptr, cfg.max_events);
   const auto run = rt.finish_all(events);
 
   client_server_result res;

@@ -18,8 +18,8 @@ cs_result run_cs_workload(const cs_config& cfg) {
   // One runtime on a sequential execution domain: the same drive path the
   // sharded federation uses, so this workload's schedules stay comparable
   // with the partitioned variants byte for byte.
-  auto dom = sim::make_event_domain(cfg.machine, {.shards = 1, .seed = cfg.seed});
-  ct::runtime rt(cfg.machine, dom->queue_of(0));
+  sim::event_domain dom(cfg.machine, {.shards = 1, .seed = cfg.seed});
+  ct::runtime rt(cfg.machine, dom.queue_of(0));
   auto lk = locks::make_lock(cfg.kind, cfg.lock_home, cfg.cost, cfg.params);
   sim::rng jitter_rng(cfg.seed);
 
@@ -69,7 +69,7 @@ cs_result run_cs_workload(const cs_config& cfg) {
   // (it exits when it is the last live thread).
   art.start(rt);
 
-  const auto events = dom->run(nullptr, cfg.max_events);
+  const auto events = dom.run(nullptr, cfg.max_events);
   const auto run = rt.finish_all(events);
 
   cs_result res;

@@ -34,12 +34,8 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
     throw std::invalid_argument("ct_serve: butterfly model cannot federate");
   }
 
-  auto dom = sim::make_event_domain(
-      cfg.machine, {.shards = cfg.shards,
-                    .seed = cfg.seed,
-                    .adaptive_lookahead = cfg.adaptive_lookahead,
-                    .max_widen = cfg.max_widen});
-  ct::federation fed(cfg.machine, *dom);
+  sim::event_domain dom(cfg.machine, {.shards = cfg.shards, .seed = cfg.seed});
+  ct::federation fed(cfg.machine, dom);
   const unsigned G = fed.groups();
 
   std::vector<group_state> groups(G);
@@ -51,7 +47,7 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
   // remote ones).
   auto deliver = [&](unsigned dest) {
     auto& ds = groups[dest];
-    ds.box.push_back(dom->queue_of(dest).now());
+    ds.box.push_back(dom.queue_of(dest).now());
     if (!ds.parked.empty()) {
       const auto tid = ds.parked.front();
       ds.parked.pop_front();
@@ -66,7 +62,7 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
   for (unsigned g = 0; g < G; ++g) {
     chain[g] = [&, g] {
       auto& gs = groups[g];
-      auto& q = dom->queue_of(g);
+      auto& q = dom.queue_of(g);
       if (gs.generated == cfg.requests_per_group) {
         fed.post(g, 0, [&fed, &groups, &sources_done, G] {
           if (++sources_done < G) return;
@@ -84,7 +80,7 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
         return;
       }
       ++gs.generated;
-      auto& rs = dom->stream(g);
+      auto& rs = dom.stream(g);
       const bool remote = G > 1 && rs.uniform01() < cfg.remote_fraction;
       if (remote) {
         const unsigned dest =
@@ -129,8 +125,8 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
 
     // Kick the arrival chain: the first gap is drawn host-side in group
     // order from the group's own stream (the chain continues it in-shard).
-    const double dt0 = dom->stream(g).exponential(cfg.mean_interarrival_us);
-    dom->queue_of(g).schedule_at(
+    const double dt0 = dom.stream(g).exponential(cfg.mean_interarrival_us);
+    dom.queue_of(g).schedule_at(
         sim::vtime{} + sim::microseconds(dt0 < 0.01 ? 0.01 : dt0),
         [&chain, g] { chain[g](); });
   }
@@ -155,7 +151,7 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
   res.latency_max_us = all.max();
   res.latency = std::move(all);
   res.posts = fed.posts();
-  res.domain = dom->stats();
+  res.domain = dom.stats();
   const double secs = static_cast<double>(res.elapsed.ns) / 1e9;
   res.throughput = secs > 0 ? static_cast<double>(res.served) / secs : 0.0;
   return res;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <deque>
-#include <memory>
 #include <stdexcept>
 
 #include "sim/event_domain.hpp"
@@ -52,7 +51,8 @@ struct client_state {
 
 class engine {
  public:
-  engine(const open_loop_config& cfg) : cfg_(cfg) {
+  engine(const open_loop_config& cfg)
+      : cfg_(cfg), dom_(cfg.machine, {.shards = cfg.shards, .seed = cfg.seed}) {
     if (cfg.shards == 0) throw std::invalid_argument("open_loop: shards must be > 0");
     if (cfg.locks_per_group == 0) {
       throw std::invalid_argument("open_loop: locks_per_group must be > 0");
@@ -63,21 +63,20 @@ class engine {
     if (cfg.mean_interarrival_us <= 0.0 || cfg.mean_service_us <= 0.0) {
       throw std::invalid_argument("open_loop: means must be positive");
     }
-    dom_ = sim::make_event_domain(cfg.machine, {.shards = cfg.shards, .seed = cfg.seed});
-    const unsigned n = dom_->places();
+    const unsigned n = dom_.places();
     groups_.resize(n);
     clients_.resize(n);
     for (unsigned g = 0; g < n; ++g) {
       groups_[g].locks.resize(cfg.locks_per_group);
       clients_[g].remaining = cfg.requests_per_group;
       const auto first =
-          sim::vtime{} + sim::vdur{draw_interarrival(dom_->stream(g), sim::vtime{})};
-      dom_->queue_of(g).schedule_at(first, [this, g, first] { arrival(g, first); });
+          sim::vtime{} + sim::vdur{draw_interarrival(dom_.stream(g), sim::vtime{})};
+      dom_.queue_of(g).schedule_at(first, [this, g, first] { arrival(g, first); });
     }
   }
 
   open_loop_result run(exec::job_executor* ex) {
-    dom_->run(ex);
+    dom_.run(ex);
     open_loop_result r;
     sim::log_histogram merged;
     for (const auto& g : groups_) {
@@ -87,13 +86,13 @@ class engine {
       r.grants_block += g.grants_block;
     }
     for (const auto& c : clients_) r.remote_requests += c.remote_requests;
-    r.elapsed = dom_->now();
+    r.elapsed = dom_.now();
     r.p50_ns = merged.p50();
     r.p99_ns = merged.p99();
     r.p999_ns = merged.p999();
     r.max_ns = merged.max();
     r.mean_ns = merged.mean();
-    const auto stats = dom_->stats();
+    const auto stats = dom_.stats();
     r.windows = stats.windows;
     r.cross_sends = stats.cross_sends;
     if (r.elapsed.ns > 0) {
@@ -120,7 +119,7 @@ class engine {
   /// heap O(groups) instead of O(total requests).
   void arrival(unsigned g, sim::vtime t) {
     auto& c = clients_[g];
-    auto& gen = dom_->stream(g);
+    auto& gen = dom_.stream(g);
     const bool remote = groups_.size() > 1 && gen.uniform01() < cfg_.remote_ratio;
     const auto target_off = remote ? 1 + gen.below(groups_.size() - 1) : 0;
     const unsigned lock = static_cast<unsigned>(gen.below(cfg_.locks_per_group));
@@ -134,15 +133,15 @@ class engine {
       const std::uint64_t origin =
           (static_cast<std::uint64_t>(g) << 32) | c.origin_counter++;
       ++c.remote_requests;
-      const sim::vtime deliver = t + dom_->lookahead();
-      dom_->send(g, h, deliver, origin,
+      const sim::vtime deliver = t + dom_.lookahead();
+      dom_.send(g, h, deliver, origin,
                  [this, h, lock, req, deliver] { arrive(h, lock, req, deliver); });
     } else {
       arrive(g, lock, req, t);
     }
     if (--c.remaining > 0) {
       const sim::vtime next = t + sim::vdur{draw_interarrival(gen, t)};
-      dom_->queue_of(g).schedule_at(next, [this, g, next] { arrival(g, next); });
+      dom_.queue_of(g).schedule_at(next, [this, g, next] { arrival(g, next); });
     }
   }
 
@@ -215,7 +214,7 @@ class engine {
     }
     const sim::vtime end = now + sim::vdur{pre + tax + req.cs_ns};
     const sim::vtime arrival = req.arrival;
-    dom_->queue_of(g).schedule_at(end, [this, g, lock, arrival, spin, end] {
+    dom_.queue_of(g).schedule_at(end, [this, g, lock, arrival, spin, end] {
       complete(g, lock, arrival, spin, end);
     });
   }
@@ -236,7 +235,7 @@ class engine {
   }
 
   open_loop_config cfg_;
-  std::unique_ptr<sim::event_domain> dom_;
+  sim::event_domain dom_;
   std::vector<group_state> groups_;
   std::vector<client_state> clients_;
 };

@@ -42,12 +42,8 @@ sharded_cs_result run_sharded_cs(const sharded_cs_config& cfg,
     throw std::invalid_argument("sharded_cs: butterfly model cannot federate");
   }
 
-  auto dom = sim::make_event_domain(
-      cfg.machine, {.shards = cfg.shards,
-                    .seed = cfg.seed,
-                    .adaptive_lookahead = cfg.adaptive_lookahead,
-                    .max_widen = cfg.max_widen});
-  ct::federation fed(cfg.machine, *dom);
+  sim::event_domain dom(cfg.machine, {.shards = cfg.shards, .seed = cfg.seed});
+  ct::federation fed(cfg.machine, dom);
   const unsigned G = fed.groups();
 
   std::vector<group_state> groups(G);
@@ -184,7 +180,7 @@ sharded_cs_result run_sharded_cs(const sharded_cs_config& cfg,
   res.posts = fed.posts();
   res.coord_reports = coord.reports();
   res.coord_demotions = coord.demotions_issued();
-  res.domain = dom->stats();
+  res.domain = dom.stats();
   const double secs = static_cast<double>(res.elapsed.ns) / 1e9;
   res.throughput = secs > 0 ? static_cast<double>(res.acquisitions) / secs : 0.0;
   return res;

@@ -23,14 +23,14 @@ sim::machine_config fed_machine(unsigned groups = 3, unsigned per_group = 4) {
 TEST(Federation, RejectsButterflyWireModel) {
   auto cfg = fed_machine();
   cfg.wire_model = sim::interconnect_model::butterfly;
-  auto dom = sim::make_event_domain(cfg);
-  EXPECT_THROW(federation(cfg, *dom), std::invalid_argument);
+  sim::event_domain dom(cfg);
+  EXPECT_THROW((void)federation(cfg, dom), std::invalid_argument);
 }
 
 TEST(Federation, RejectsPlaceCountMismatch) {
   auto cfg = fed_machine(3, 4);
-  auto dom = sim::make_event_domain(fed_machine(2, 4));
-  EXPECT_THROW(federation(cfg, *dom), std::invalid_argument);
+  sim::event_domain dom(fed_machine(2, 4));
+  EXPECT_THROW((void)federation(cfg, dom), std::invalid_argument);
 }
 
 TEST(Federation, GroupConfigTrimsNodesAndFoldsSeed) {
@@ -49,8 +49,8 @@ TEST(Federation, GroupConfigTrimsNodesAndFoldsSeed) {
 
 TEST(Federation, ForkMapsGlobalNodesToGroupLocalProcessors) {
   const auto cfg = fed_machine(3, 4);
-  auto dom = sim::make_event_domain(cfg);
-  federation fed(cfg, *dom);
+  sim::event_domain dom(cfg);
+  federation fed(cfg, dom);
   ASSERT_EQ(fed.groups(), 3u);
 
   std::vector<unsigned> ran_on(3, ~0u);
@@ -72,9 +72,9 @@ TEST(Federation, ForkMapsGlobalNodesToGroupLocalProcessors) {
 
 TEST(Federation, PostUnblockLandsExactlyAtTheLookaheadHorizon) {
   const auto cfg = fed_machine(2, 4);
-  auto dom = sim::make_event_domain(cfg);
-  federation fed(cfg, *dom);
-  const auto L = dom->lookahead();
+  sim::event_domain dom(cfg);
+  federation fed(cfg, dom);
+  const auto L = dom.lookahead();
 
   sim::vtime blocked_at{};
   sim::vtime posted_at{};
@@ -100,13 +100,13 @@ TEST(Federation, PostUnblockLandsExactlyAtTheLookaheadHorizon) {
   // pays its own dispatch/context-switch before running.
   EXPECT_GE(woken_at, posted_at + L);
   EXPECT_LT(blocked_at, posted_at + L);
-  EXPECT_EQ(dom->stats().cross_sends, 1u);
+  EXPECT_EQ(dom.stats().cross_sends, 1u);
 }
 
 TEST(Federation, CrossPlaceLockOperationThrows) {
   const auto cfg = fed_machine(2, 4);
-  auto dom = sim::make_event_domain(cfg);
-  federation fed(cfg, *dom);
+  sim::event_domain dom(cfg);
+  federation fed(cfg, dom);
 
   auto lk = locks::make_lock(locks::lock_kind::spin, 0,
                              locks::lock_cost_model::butterfly_cthreads(), {});
@@ -120,8 +120,8 @@ TEST(Federation, CrossPlaceLockOperationThrows) {
   EXPECT_THROW(fed.run_all(), std::logic_error);
 
   // The same lock is fine from its own place.
-  auto dom2 = sim::make_event_domain(cfg);
-  federation fed2(cfg, *dom2);
+  sim::event_domain dom2(cfg);
+  federation fed2(cfg, dom2);
   auto lk2 = locks::make_lock(locks::lock_kind::spin, 0,
                               locks::lock_cost_model::butterfly_cthreads(), {});
   lk2->bind_place(0);
@@ -135,8 +135,8 @@ TEST(Federation, CrossPlaceLockOperationThrows) {
 
 TEST(Federation, DeadlockReportsStuckThreadsAcrossGroups) {
   const auto cfg = fed_machine(2, 4);
-  auto dom = sim::make_event_domain(cfg);
-  federation fed(cfg, *dom);
+  sim::event_domain dom(cfg);
+  federation fed(cfg, dom);
   fed.fork(0, [](context& ctx) -> task<void> { co_await ctx.block(); });
   fed.fork(5, [](context& ctx) -> task<void> { co_await ctx.block(); });
   EXPECT_THROW(fed.run_all(), deadlock_error);
@@ -161,8 +161,8 @@ struct ring_observables {
 
 ring_observables run_ring(unsigned shards, unsigned workers) {
   const auto cfg = fed_machine(3, 4);
-  auto dom = sim::make_event_domain(cfg, {.shards = shards, .seed = 123});
-  federation fed(cfg, *dom);
+  sim::event_domain dom(cfg, {.shards = shards, .seed = 123});
+  federation fed(cfg, dom);
 
   std::vector<federation::fed_thread> ring(3);
   for (unsigned g = 0; g < 3; ++g) {
@@ -185,7 +185,7 @@ ring_observables run_ring(unsigned shards, unsigned workers) {
   exec::job_executor ex(workers);
   const auto r = fed.run_all(workers > 1 ? &ex : nullptr);
   EXPECT_TRUE(r.completed);
-  return {r.end_time, fed.posts(), fed.total_dispatches(), dom->stats()};
+  return {r.end_time, fed.posts(), fed.total_dispatches(), dom.stats()};
 }
 
 TEST(Federation, TokenRingBitIdenticalAcrossShardAndWorkerCounts) {

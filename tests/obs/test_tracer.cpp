@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace adx::obs {
 namespace {
 
@@ -72,7 +74,7 @@ TEST(Tracer, LimitCapsStorageAndCountsDropped) {
   tracer t;
   t.enable();
   t.set_limit(2);
-  for (int i = 0; i < 5; ++i) t.instant("e", "c", sim::vtime{i}, 0, 0);
+  for (std::uint64_t i = 0; i < 5; ++i) t.instant("e", "c", sim::vtime{i}, 0, 0);
   EXPECT_EQ(t.size(), 2u);
   EXPECT_EQ(t.dropped(), 3u);
   EXPECT_NE(t.chrome_json().find("\"droppedEvents\":3"), std::string::npos);

@@ -107,7 +107,9 @@ TEST(SmallRing, MatchesDequeOverMixedOps) {
         break;
     }
     ASSERT_EQ(r.size(), model.size());
-    if (!model.empty()) ASSERT_EQ(r.front(), model.front());
+    if (!model.empty()) {
+      ASSERT_EQ(r.front(), model.front());
+    }
   }
   while (!model.empty()) {
     ASSERT_EQ(r.front(), model.front());

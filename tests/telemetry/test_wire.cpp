@@ -6,6 +6,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 namespace adx::telemetry {
 namespace {
@@ -237,6 +241,61 @@ TEST(Wire, MetricsSnapshotAndHistogramRestore) {
   for (const double p : {0.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
     EXPECT_DOUBLE_EQ(back.percentile(p), h.percentile(p)) << "p" << p;
   }
+}
+
+/// A metrics frame carrying one histogram snapshot with the given geometry
+/// and sparse buckets; the encoder writes whatever it is given.
+std::string histogram_frame(std::uint32_t sub, std::uint32_t bucket_count,
+                            std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets) {
+  metrics_msg m;
+  hist_snapshot h;
+  h.name = "h";
+  h.sub_per_octave = sub;
+  h.bucket_count = bucket_count;
+  h.count = buckets.size();
+  h.buckets = std::move(buckets);
+  m.histograms.push_back(h);
+  return encode_frame(message{m});
+}
+
+TEST(Wire, HostileHistogramGeometryPoisonsReader) {
+  // Each frame is tiny but would make restore_histogram allocate an
+  // unbounded counter vector, or index past the one it allocates.
+  constexpr std::uint32_t cap = 1 + hist_snapshot::kMaxOctaves * 8;
+  const std::string hostile[] = {
+      histogram_frame(1, 0xFFFFFFFFu, {}),    // ~34 GiB of counters
+      histogram_frame(0, 385, {}),            // no sub-buckets
+      histogram_frame(hist_snapshot::kMaxSubPerOctave + 1, 385, {}),
+      histogram_frame(8, 0, {}),              // no buckets at all
+      histogram_frame(8, cap + 1, {}),        // more than 64 octaves
+      histogram_frame(1, 2, {{0, 1}, {1, 1}, {1, 1}}),  // more entries than buckets
+      histogram_frame(8, 385, {{385, 1}}),    // index past the last bucket
+  };
+  for (const auto& frame : hostile) {
+    frame_reader r;
+    r.feed(frame);
+    message out;
+    EXPECT_EQ(r.next(out), frame_reader::status::error);
+    EXPECT_NE(r.error_text().find("histogram"), std::string::npos) << r.error_text();
+    r.feed(encode_frame(message{bye_msg{0}}));
+    EXPECT_EQ(r.next(out), frame_reader::status::error);  // stays poisoned
+  }
+}
+
+TEST(Wire, HistogramAtTheGeometryCapRoundTrips) {
+  constexpr std::uint32_t sub = hist_snapshot::kMaxSubPerOctave;
+  constexpr std::uint32_t buckets = 1 + hist_snapshot::kMaxOctaves * sub;
+  const std::string frame = histogram_frame(sub, buckets, {{0, 1}, {buckets - 1, 2}});
+  frame_reader r;
+  r.feed(frame);
+  message out;
+  ASSERT_EQ(r.next(out), frame_reader::status::ok) << r.error_text();
+  const auto& h = std::get<metrics_msg>(out).histograms.at(0);
+  EXPECT_EQ(h.sub_per_octave, sub);
+  EXPECT_EQ(h.bucket_count, buckets);
+  ASSERT_EQ(h.buckets.size(), 2u);
+  EXPECT_EQ(h.buckets[1].first, buckets - 1);
+  EXPECT_EQ(restore_histogram(h).bucket_count(), buckets);
 }
 
 TEST(Wire, ParseEndpointForms) {
