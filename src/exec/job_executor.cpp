@@ -1,9 +1,32 @@
 #include "exec/job_executor.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 
 namespace adx::exec {
+
+namespace {
+
+/// About one park/wake round trip on a condition variable (a futex wake plus
+/// the wakee's reschedule, ~15 µs on a 4-core x86 host): spinning longer
+/// than this costs more than parking would have.
+constexpr std::chrono::nanoseconds kSpinBudget = std::chrono::microseconds(15);
+
+/// Spin iterations between clock reads: keeps the deadline check off the
+/// hot path while overshooting the budget by well under a microsecond.
+constexpr unsigned kSpinsPerClockRead = 64;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
+
+}  // namespace
 
 unsigned default_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -22,7 +45,7 @@ unsigned resolve_jobs(std::uint64_t flag_value) {
 struct job_executor::batch {
   const std::function<bool(std::size_t)>* body{nullptr};
   std::size_t count{0};
-  std::size_t chunk{1};
+  std::size_t chunk{1};                    ///< claim size, or kBySlot
   std::atomic<std::size_t> next{0};        ///< claim cursor (monotone)
   std::atomic<std::size_t> found{npos};    ///< min index with body(i) == true
   std::atomic<bool> stop{false};           ///< a job threw: drain and bail
@@ -32,48 +55,69 @@ struct job_executor::batch {
   std::size_t error_index{npos};
 };
 
-job_executor::job_executor(unsigned jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {
+job_executor::job_executor(unsigned jobs)
+    : jobs_(jobs == 0 ? default_jobs() : jobs), spin_(jobs_ <= default_jobs()) {
   workers_.reserve(jobs_ - 1);
   for (unsigned w = 1; w < jobs_; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, w] { worker_loop(w); });
   }
 }
 
 job_executor::~job_executor() {
-  {
-    const std::lock_guard<std::mutex> l(mu_);
-    shutdown_ = true;
-  }
-  wake_cv_.notify_all();
+  shutdown_ = true;
+  generation_.fetch_add(1);
+  wake(wake_cv_, wake_sleepers_);
   for (auto& t : workers_) t.join();
 }
 
-void job_executor::worker_loop() {
+template <typename Ready>
+void job_executor::await(std::condition_variable& cv, std::atomic<unsigned>& sleepers,
+                         const Ready& ready) {
+  if (spin_) {
+    const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+    for (unsigned i = 1;; ++i) {
+      if (ready()) return;
+      cpu_relax();
+      if (i % kSpinsPerClockRead == 0 && std::chrono::steady_clock::now() >= deadline) break;
+    }
+  }
+  std::unique_lock<std::mutex> l(mu_);
+  sleepers.fetch_add(1);
+  cv.wait(l, ready);
+  sleepers.fetch_sub(1);
+}
+
+void job_executor::wake(std::condition_variable& cv, const std::atomic<unsigned>& sleepers) {
+  if (sleepers.load() == 0) return;
+  {
+    // A sleeper that has counted itself may still be testing its predicate
+    // under mu_; taking mu_ orders this notify after its wait begins.
+    const std::lock_guard<std::mutex> l(mu_);
+  }
+  cv.notify_all();
+}
+
+void job_executor::worker_loop(unsigned slot) {
   std::uint64_t seen = 0;
   for (;;) {
-    batch* b;
-    {
-      std::unique_lock<std::mutex> l(mu_);
-      wake_cv_.wait(l, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-      b = current_;
-    }
-    work_on(*b);
-    {
-      const std::lock_guard<std::mutex> l(mu_);
-      ++finished_;
-    }
-    done_cv_.notify_all();
+    await(wake_cv_, wake_sleepers_, [&] { return generation_.load() != seen; });
+    // The caller publishes the next batch only after every pool worker left
+    // this one, so the generation has moved by exactly one.
+    seen = generation_.load();
+    if (shutdown_) return;
+    work_on(*current_, slot);
+    if (pending_.fetch_sub(1) == 1) wake(done_cv_, done_sleepers_);
   }
 }
 
-void job_executor::work_on(batch& b) {
+void job_executor::work_on(batch& b, unsigned slot) {
+  const bool by_slot = b.chunk == kBySlot;
   for (;;) {
     if (b.stop.load(std::memory_order_acquire)) return;
-    const std::size_t begin = b.next.fetch_add(b.chunk, std::memory_order_relaxed);
+    const std::size_t begin =
+        by_slot ? slot : b.next.fetch_add(b.chunk, std::memory_order_relaxed);
     if (begin >= b.count) return;
-    const std::size_t end = std::min(begin + b.chunk, b.count);
+    const std::size_t end = by_slot ? begin + 1 : std::min(begin + b.chunk, b.count);
     for (std::size_t i = begin; i < end; ++i) {
       if (b.stop.load(std::memory_order_acquire)) return;
       // An index past an already-found smaller hit cannot improve the
@@ -100,6 +144,7 @@ void job_executor::work_on(batch& b) {
         }
       }
     }
+    if (by_slot) return;
   }
 }
 
@@ -119,20 +164,13 @@ std::size_t job_executor::run_find(std::size_t count, std::size_t chunk,
   batch b;
   b.body = &body;
   b.count = count;
-  b.chunk = std::max<std::size_t>(1, chunk);
-  {
-    const std::lock_guard<std::mutex> l(mu_);
-    current_ = &b;
-    finished_ = 0;
-    ++generation_;
-  }
-  wake_cv_.notify_all();
-  work_on(b);  // the calling thread is worker 0
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    done_cv_.wait(l, [&] { return finished_ == workers_.size(); });
-    current_ = nullptr;
-  }
+  b.chunk = chunk;
+  current_ = &b;
+  pending_.store(static_cast<unsigned>(workers_.size()));
+  generation_.fetch_add(1);
+  wake(wake_cv_, wake_sleepers_);
+  work_on(b, 0);  // the calling thread is slot 0
+  await(done_cv_, done_sleepers_, [this] { return pending_.load() == 0; });
   if (b.error) std::rethrow_exception(b.error);
   return b.found.load(std::memory_order_acquire);
 }

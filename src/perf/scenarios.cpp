@@ -40,6 +40,12 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+/// Events per synchronization round of a domain run: the work each window
+/// barrier amortizes. Exact, like its inputs.
+double events_per_window(const sim::domain_stats& d) {
+  return d.windows == 0 ? 0.0 : static_cast<double>(d.events) / static_cast<double>(d.windows);
+}
+
 /// Metric-name tag of a lock kind ("backoff" for spin-with-backoff).
 std::string kind_tag(locks::lock_kind k) {
   return k == locks::lock_kind::backoff ? "backoff" : locks::to_string(k);
@@ -301,6 +307,8 @@ scenario_result run_ct_sharded_cs() {
                            static_cast<double>(res.posts)});
       r.metrics.push_back({"windows", "count", kVirtual,
                            static_cast<double>(res.domain.windows)});
+      r.metrics.push_back({"events_per_window", "ratio", kVirtual,
+                           events_per_window(res.domain)});
     }
   }
   const double wall_s = wall_seconds_since(t0);
@@ -342,6 +350,8 @@ scenario_result run_serve_ct_fat4096() {
                            static_cast<double>(res.posts)});
       r.metrics.push_back({"fat4096_windows", "count", kVirtual,
                            static_cast<double>(res.domain.windows)});
+      r.metrics.push_back({"fat4096_events_per_window", "ratio", kVirtual,
+                           events_per_window(res.domain)});
     }
   }
   const double wall_s = wall_seconds_since(t0);

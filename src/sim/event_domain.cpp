@@ -16,6 +16,7 @@ event_domain::event_domain(const machine_config& cfg, const domain_options& opt)
 domain_stats event_domain::stats() const {
   domain_stats s;
   s.windows = q_.windows();
+  s.events = q_.processed();
   s.cross_sends = q_.cross_sends();
   for (unsigned i = 0; i < q_.shards(); ++i) {
     s.slab_slots += q_.shard_queue(i).slots_acquired();

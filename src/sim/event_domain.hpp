@@ -42,6 +42,7 @@ namespace adx::sim {
 /// of the logical schedule — bit-identical at every shard and worker count.
 struct domain_stats {
   std::uint64_t windows = 0;          ///< synchronization rounds executed
+  std::uint64_t events = 0;           ///< events executed, all shards
   std::uint64_t cross_sends = 0;      ///< deliveries merged at barriers
   std::uint64_t slab_slots = 0;       ///< callback slots acquired, all queues
   std::uint64_t callback_spills = 0;  ///< oversized callbacks spilled to heap

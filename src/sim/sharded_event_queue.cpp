@@ -31,9 +31,18 @@ inline std::uint64_t sharded_event_queue::window(exec::job_executor* ex) {
   const vtime until{(tmin + lookahead_).ns - 1};
   std::uint64_t ran = 0;
   if (ex != nullptr) {
-    const auto before = processed();
-    ex->for_each(shards_.size(), [&](std::size_t i) { shards_[i].q.run_until(until); });
-    ran = processed() - before;
+    // Slot w always runs shards w, w + J, w + 2J, ... on the same host
+    // thread, so each shard's heap, slab and machine state stay in one
+    // core's cache from window to window.
+    const std::size_t stride = slot_ran_.size();
+    ex->for_each_slot([&](unsigned slot) {
+      std::uint64_t n = 0;
+      for (std::size_t i = slot; i < shards_.size(); i += stride) {
+        n += shards_[i].q.run_until(until);
+      }
+      slot_ran_[slot].n = n;
+    });
+    for (const auto& r : slot_ran_) ran += r.n;
   } else {
     for (auto& s : shards_) ran += s.q.run_until(until);
   }
@@ -75,6 +84,7 @@ std::uint64_t sharded_event_queue::run_budgeted(exec::job_executor* ex,
   // degenerate case stays the plain sequential loop.
   exec::job_executor* driver =
       ex != nullptr && shards_.size() > 1 && ex->jobs() > 1 ? ex : nullptr;
+  if (driver != nullptr) slot_ran_.resize(driver->jobs());
   std::uint64_t ran = 0;
   while (ran < max_events) {
     const std::uint64_t n = window(driver);

@@ -5,13 +5,15 @@
 // `event_queue` each — the same 4-ary heap + slab engine) that execute in
 // *windows*: every round the coordinator computes the global minimum pending
 // timestamp T and lets each shard run all of its events with timestamp in
-// [T, T + lookahead) concurrently on `exec::job_executor` workers. The
-// classic Chandy–Misra–Bryant conservative argument applies: if any
-// cross-shard influence takes at least `lookahead` of virtual time to arrive
-// (in this codebase, the interconnect's minimum cross-group hop latency —
-// see machine_config::min_cross_group_latency()), no event inside the window
-// can be affected by an event executing concurrently in another shard, so
-// the parallel execution is a legal serialization of the sequential one.
+// [T, T + lookahead) concurrently on `exec::job_executor` workers (slot w
+// of J always runs shards w, w + J, ..., so a shard never changes host
+// thread). The classic Chandy–Misra–Bryant conservative argument applies:
+// if any cross-shard influence takes at least `lookahead` of virtual time to
+// arrive (in this codebase, the interconnect's minimum cross-group hop
+// latency — see machine_config::min_cross_group_latency()), no event inside
+// the window can be affected by an event executing concurrently in another
+// shard, so the parallel execution is a legal serialization of the
+// sequential one.
 //
 // Determinism contract (the src/exec discipline, extended to shards):
 //   * Shard-local results are bit-identical for ANY shard count and ANY
@@ -154,7 +156,14 @@ class sharded_event_queue {
   /// deliver_outboxes' slow path: at least one outbox is non-empty.
   void merge_outboxes();
 
+  /// Events one executor slot ran in the current window; padded so the
+  /// slots' writes never share a cache line.
+  struct alignas(64) slot_count {
+    std::uint64_t n{0};
+  };
+
   std::vector<shard> shards_;
+  std::vector<slot_count> slot_ran_;  ///< one per executor slot, parallel runs only
   std::vector<pending_send> merged_;  ///< barrier merge buffer, reused
   vdur lookahead_;
   std::uint64_t windows_{0};

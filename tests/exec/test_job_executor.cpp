@@ -1,13 +1,16 @@
-// Unit tests for the parallel sweep executor: the determinism contract
-// (results collected by index, identical for any worker count), the
-// find_first ordering guarantees, and exception propagation.
+// Unit tests for the parallel executor: the determinism contract (results
+// collected by index, identical for any worker count), the find_first
+// ordering guarantees, exception propagation, the spin-then-park barrier
+// (no lost wake-ups on either side) and for_each_slot's thread affinity.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/job_executor.hpp"
@@ -156,6 +159,122 @@ TEST(JobExecutor, SequentialExceptionIsTheFirstThrow) {
     EXPECT_STREQ(e.what(), "boom at 9");
   }
   EXPECT_EQ(last, 9u);
+}
+
+// --- The spin-then-park barrier. -------------------------------------------
+
+/// Longer than the barrier's spin budget (about one park/wake round trip):
+/// a waiter that sees no progress for this long has parked.
+constexpr auto kPastSpinBudget = std::chrono::microseconds(200);
+
+TEST(JobExecutor, BarrierLosesNoWakeUpsAcrossSpinAndPark) {
+  // Thousands of tiny back-to-back batches, the spinning hand-off, mixed
+  // with two kinds of gap past the spin budget: a pause between batches
+  // (the pool workers park on the next-batch wait) and a slow job on a pool
+  // thread (the caller parks on the batch-done wait). A lost wake-up hangs
+  // the test; a double or missed run shows in the counts.
+  job_executor ex(3);
+  constexpr std::size_t kBatches = 3000;
+  constexpr std::size_t kCount = 5;  // >= jobs(): slot batches fit too
+  std::vector<std::atomic<int>> visits(kBatches * kCount);
+  std::size_t expected = 0;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    if (b % 97 == 0) std::this_thread::sleep_for(kPastSpinBudget);
+    if (b % 89 == 0) {
+      ex.for_each_slot([&, b](unsigned slot) {
+        ++visits[b * kCount + slot];
+        if (slot == 1) std::this_thread::sleep_for(kPastSpinBudget);
+      });
+      expected += ex.jobs();
+    } else {
+      ex.for_each(kCount, [&, b](std::size_t i) { ++visits[b * kCount + i]; });
+      expected += kCount;
+    }
+  }
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < visits.size(); ++k) {
+    const bool slot_batch = (k / kCount) % 89 == 0;
+    const int want = slot_batch && k % kCount >= ex.jobs() ? 0 : 1;
+    ASSERT_EQ(visits[k].load(), want) << "batch " << k / kCount << " index " << k % kCount;
+    total += static_cast<std::size_t>(visits[k].load());
+  }
+  EXPECT_EQ(total, expected);
+}
+
+TEST(JobExecutor, ThrowAfterAParkStillReachesTheCaller) {
+  job_executor ex(4);
+  for (int round = 0; round < 20; ++round) {
+    // Let every pool worker run out its spin budget and park, so the batch
+    // below starts by waking parked workers.
+    std::this_thread::sleep_for(kPastSpinBudget);
+    try {
+      ex.for_each_slot([&](unsigned slot) {
+        if (slot == 2) throw std::runtime_error("slot 2 after park");
+      });
+      FAIL() << "expected a throw (round " << round << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "slot 2 after park");
+    }
+    // Reusable afterwards, on both the claiming and the per-slot path.
+    std::vector<std::atomic<int>> visits(40);
+    ex.for_each(visits.size(), [&](std::size_t i) { ++visits[i]; });
+    for (const auto& v : visits) ASSERT_EQ(v.load(), 1);
+    std::atomic<unsigned> slots{0};
+    ex.for_each_slot([&](unsigned) { ++slots; });
+    ASSERT_EQ(slots.load(), ex.jobs());
+  }
+}
+
+// --- for_each_slot affinity and oversubscription. ---------------------------
+
+TEST(JobExecutor, ForEachSlotPinsEverySlotToOneThread) {
+  job_executor ex(4);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> first(ex.jobs());
+  ex.for_each_slot([&](unsigned slot) { first[slot] = std::this_thread::get_id(); });
+  EXPECT_EQ(first[0], caller);
+  for (unsigned a = 0; a < ex.jobs(); ++a) {
+    for (unsigned b = a + 1; b < ex.jobs(); ++b) {
+      EXPECT_NE(first[a], first[b]) << "slots " << a << " and " << b << " share a thread";
+    }
+  }
+  for (int call = 0; call < 2000; ++call) {
+    if (call % 500 == 0) std::this_thread::sleep_for(kPastSpinBudget);
+    std::vector<std::thread::id> seen(ex.jobs());
+    ex.for_each_slot([&](unsigned slot) { seen[slot] = std::this_thread::get_id(); });
+    ASSERT_EQ(seen, first) << "call " << call;
+  }
+}
+
+TEST(JobExecutor, ForEachSlotWithOneJobRunsSlotZeroInline) {
+  job_executor ex(1);
+  std::vector<unsigned> slots;
+  std::thread::id ran_on;
+  ex.for_each_slot([&](unsigned slot) {
+    slots.push_back(slot);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(slots, (std::vector<unsigned>{0}));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(JobExecutor, OversubscribedPoolParksAtOnceAndStaysCorrect) {
+  // More workers than host cores takes the park-at-once path. Two extra
+  // workers are enough to cross the line; on a very wide host that would
+  // still mean many threads, so the test keeps to modest hosts.
+  if (default_jobs() > 62) GTEST_SKIP() << "host has " << default_jobs() << " cores";
+  job_executor ex(default_jobs() + 2);
+  const std::size_t n = 3 * ex.jobs() + 1;
+  for (int round = 0; round < 300; ++round) {
+    std::vector<std::atomic<int>> visits(n);
+    ex.for_each(n, [&](std::size_t i) { ++visits[i]; }, 1);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 1) << "round " << round;
+    std::vector<std::atomic<int>> slots(ex.jobs());
+    ex.for_each_slot([&](unsigned slot) { ++slots[slot]; });
+    for (const auto& s : slots) ASSERT_EQ(s.load(), 1) << "round " << round;
+  }
+  const auto out = ex.map(n, [](std::size_t i) { return i * 3; });
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], i * 3);
 }
 
 }  // namespace

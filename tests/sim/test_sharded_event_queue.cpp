@@ -100,6 +100,7 @@ struct run_result {
   std::uint64_t processed{0};
   std::uint64_t windows{0};
   std::uint64_t cross_sends{0};
+  std::vector<std::uint64_t> shard_clocks;  ///< now(shard).ns after the run
 };
 
 class driver {
@@ -122,6 +123,7 @@ class driver {
       out_.processed = ex ? shq_->run(*ex) : shq_->run();
       out_.windows = shq_->windows();
       out_.cross_sends = shq_->cross_sends();
+      for (unsigned sh = 0; sh < shards_; ++sh) out_.shard_clocks.push_back(shq_->now(sh).ns);
     }
     return std::move(out_);
   }
@@ -209,15 +211,37 @@ TEST(ShardedEventQueue, StressMatchesSequentialReferenceAtEveryShardCount) {
 }
 
 TEST(ShardedEventQueue, ParallelExecutionMatchesSequential) {
+  // Every worker count on 8 shards: 3 does not divide the shard count (slots
+  // own 3, 3 and 2 shards) and 8 gives each slot one shard (and, on hosts
+  // with fewer cores, takes the executor's park-at-once path).
   constexpr unsigned kEvents = 300;
   const auto seq = driver(8, kEvents).run();
+  for (const unsigned jobs : {2u, 3u, 4u, 8u}) {
+    exec::job_executor ex(jobs);
+    const auto par = driver(8, kEvents).run(&ex);
+    EXPECT_EQ(par.processed, seq.processed) << "jobs=" << jobs;
+    EXPECT_EQ(par.windows, seq.windows) << "jobs=" << jobs;
+    EXPECT_EQ(par.cross_sends, seq.cross_sends) << "jobs=" << jobs;
+    EXPECT_EQ(par.shard_clocks, seq.shard_clocks) << "jobs=" << jobs;
+    for (unsigned s = 0; s < kStreams; ++s) {
+      EXPECT_EQ(par.trace[s], seq.trace[s]) << "jobs=" << jobs << " stream=" << s;
+    }
+  }
+}
+
+TEST(ShardedEventQueue, ThrowOnAPoolThreadShardReachesTheCaller) {
+  // 8 shards on 4 workers: shard 5 belongs to slot 1, a pool thread.
+  sharded_event_queue q(8, vdur{1000});
   exec::job_executor ex(4);
-  const auto par = driver(8, kEvents).run(&ex);
-  EXPECT_EQ(par.processed, seq.processed);
-  EXPECT_EQ(par.windows, seq.windows);
-  EXPECT_EQ(par.cross_sends, seq.cross_sends);
-  for (unsigned s = 0; s < kStreams; ++s) {
-    EXPECT_EQ(par.trace[s], seq.trace[s]) << "stream=" << s;
+  for (unsigned sh = 0; sh < q.shards(); ++sh) {
+    q.schedule_at(sh, vtime{10 * sh}, [] {});
+  }
+  q.schedule_at(5, vtime{2500}, [] { throw std::runtime_error("shard 5 failed"); });
+  try {
+    q.run(ex);
+    FAIL() << "expected the shard's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 5 failed");
   }
 }
 
