@@ -8,18 +8,23 @@
 // (sim::sharded_event_queue) fans out one batch per conservative window:
 // tens of thousands of batches per run, each only a few microseconds long.
 //
-// The barrier. Every batch is published by bumping an atomic generation; the
-// pool workers wait for the next generation and the caller waits for the
-// last pool worker to leave the batch. Both directions use the same rule as
-// the paper's combined lock: spin on the atomic for a bounded budget, then
-// park on a mutex/condition variable. The budget is a fixed constant of
-// about one park/wake round trip (kSpinBudget in job_executor.cpp, ~15 µs of
-// host time on a 4-core x86 host): a wait shorter than that costs less spun
-// than parked, and a longer one wastes at most the one round trip it would
-// have cost to park at once — the competitive 2x bound. A pool with more
-// workers than host cores (jobs() > default_jobs()) parks at once: spinning
-// only pays when every waiter has its own processor, and a spinner on a
-// shared core delays the very thread it is waiting for.
+// The barrier. The caller publishes a batch by writing it into the one cache
+// line the pool workers spin on — the batch's entry point (a function pointer
+// plus context), its count and chunk — and then bumping that line's
+// generation, so a worker learns everything about the batch from one line.
+// The caller then waits for the last pool worker to leave the batch. Both
+// directions follow the paper's adaptive combined lock: a waiter spins on
+// the atomic for at most a fixed budget of about one park/wake round trip
+// (kSpinBudget in job_executor.cpp, ~15 µs of host time on a 4-core x86
+// host), then parks on a mutex/condition variable, and whether it spins at
+// all is adapted to the waits it has observed. A wait that outlasts the
+// budget makes its waiter park at once for its next waits (for longer after
+// each such spin, up to a cap); parked waits that turn out short — the
+// waker's timestamp shows the batch was ready within the budget — bring it
+// back to spinning. So a pool with every waiter on its own core spins, and a
+// pool whose cores are taken (more workers than cores, or other processes
+// holding them) parks, with no setting to choose between them. counters()
+// reports the batches published and the waits that parked on each side.
 //
 // Determinism contract:
 //   * map()/for_each() run fn(i) exactly once for every i in [0, count) and
@@ -36,7 +41,8 @@
 //     call. A caller that partitions state by slot (the sharded DES: slot w
 //     owns shards w, w + jobs(), ...) keeps each partition in one core's
 //     cache instead of migrating it with dynamic claiming.
-//   * A throwing job cancels the batch and the exception is rethrown to the
+//   * A throwing job cancels the batch's unclaimed jobs (a for_each_slot
+//     batch still runs every slot) and the exception is rethrown to the
 //     caller. When several jobs throw, the lowest-indexed exception among
 //     those evaluated wins; with one worker that is exactly the first throw,
 //     matching a sequential loop. The executor stays usable afterwards.
@@ -49,15 +55,13 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <condition_variable>
-#include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace adx::exec {
@@ -67,6 +71,14 @@ namespace adx::exec {
 
 /// Folds a `--jobs` flag value into a concrete worker count (0 = default).
 [[nodiscard]] unsigned resolve_jobs(std::uint64_t flag_value);
+
+/// Host-side barrier counters: how the wall-clock schedule went, never part
+/// of a result.
+struct barrier_counters {
+  std::uint64_t batches{0};       ///< batches published to the pool workers
+  std::uint64_t worker_parks{0};  ///< pool-worker waits for a batch that parked
+  std::uint64_t caller_parks{0};  ///< caller waits for a batch's end that parked
+};
 
 class job_executor {
  public:
@@ -86,7 +98,7 @@ class job_executor {
   /// granularity (0 = automatic); it never affects observable results.
   template <typename Fn>
   void for_each(std::size_t count, Fn&& fn, std::size_t chunk = 0) {
-    (void)run_find(count, pick_chunk(count, chunk), [&fn](std::size_t i) {
+    (void)run(count, pick_chunk(count, chunk), [&fn](std::size_t i) {
       fn(i);
       return false;
     });
@@ -97,7 +109,7 @@ class job_executor {
   /// call).
   template <typename Fn>
   void for_each_slot(Fn&& fn) {
-    (void)run_find(jobs_, kBySlot, [&fn](std::size_t slot) {
+    (void)run(jobs_, kBySlot, [&fn](std::size_t slot) {
       fn(static_cast<unsigned>(slot));
       return false;
     });
@@ -110,7 +122,7 @@ class job_executor {
   [[nodiscard]] auto map(std::size_t count, Fn&& fn, std::size_t chunk = 0)
       -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
     std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> out(count);
-    (void)run_find(count, pick_chunk(count, chunk), [&fn, &out](std::size_t i) {
+    (void)run(count, pick_chunk(count, chunk), [&fn, &out](std::size_t i) {
       out[i] = fn(i);
       return false;
     });
@@ -122,14 +134,22 @@ class job_executor {
   template <typename Pred>
   [[nodiscard]] std::size_t find_first(std::size_t count, Pred&& pred,
                                        std::size_t chunk = 1) {
-    return run_find(count, chunk == 0 ? 1 : chunk,
-                    [&pred](std::size_t i) { return static_cast<bool>(pred(i)); });
+    return run(count, chunk == 0 ? 1 : chunk,
+               [&pred](std::size_t i) { return static_cast<bool>(pred(i)); });
   }
+
+  /// The barrier's counters so far. Any thread may read them; they are
+  /// exact between batches.
+  [[nodiscard]] barrier_counters counters() const;
 
  private:
   struct batch;
 
-  /// run_find's chunk value for for_each_slot: index i runs on slot i.
+  /// A batch's type-erased body: runs job i and returns whether it is a
+  /// find_first hit.
+  using job_fn = bool (*)(const void* ctx, std::size_t i);
+
+  /// The publish line's chunk value for for_each_slot: index i runs on slot i.
   static constexpr std::size_t kBySlot = 0;
 
   /// Auto chunking: ~4 claims per worker keeps the claim counter cold while
@@ -140,38 +160,79 @@ class job_executor {
     return count <= target ? 1 : count / target;
   }
 
-  /// The type-erased core behind every entry point: runs body over
-  /// [0, count), returns the smallest index for which it returned true.
-  /// `chunk` is the claiming granularity, or kBySlot.
-  std::size_t run_find(std::size_t count, std::size_t chunk,
-                       const std::function<bool(std::size_t)>& body);
+  /// The core behind every entry point: runs body over [0, count), returns
+  /// the smallest index for which it returned true. `chunk` is the claiming
+  /// granularity, or kBySlot.
+  template <typename Body>
+  std::size_t run(std::size_t count, std::size_t chunk, const Body& body) {
+    if (jobs_ == 1 || count <= 1) {
+      // Inline sequential execution: exact historical loop semantics — first
+      // exception propagates immediately, first hit stops the scan.
+      for (std::size_t i = 0; i < count; ++i) {
+        if (body(i)) return i;
+      }
+      return npos;
+    }
+    return fan_out(count, chunk, [](const void* ctx, std::size_t i) {
+      return (*static_cast<const Body*>(ctx))(i);
+    }, &body);
+  }
 
+  std::size_t fan_out(std::size_t count, std::size_t chunk, job_fn fn, const void* ctx);
   void worker_loop(unsigned slot);
-  static void work_on(batch& b, unsigned slot);
+  void work_on(unsigned slot);
 
-  /// The barrier's two halves. await() spins on `ready` for the budget
-  /// (none when oversubscribed), then parks on `cv`; wake() unparks `cv`'s
-  /// waiters if any are parked. `ready` and the state it reads must be
-  /// seq_cst atomics: the sleeper count and that state form a Dekker pair,
-  /// so a waker either sees the sleeper or the sleeper sees the new state.
+  /// One direction of the barrier: the waiters that park there.
+  struct park_side {
+    std::condition_variable cv;
+    std::atomic<unsigned> sleepers{0};
+    std::atomic<std::uint64_t> parked{0};  ///< waits that parked, ever
+    /// When a waker last found sleepers here; guarded by mu_. A parked
+    /// waiter measures its wait up to this stamp, not up to the moment it
+    /// got a core back.
+    std::chrono::steady_clock::time_point woken_at{};
+  };
+
+  /// One waiter's spin-or-park state, adapted to the waits it observed.
+  struct waiter {
+    unsigned park_left{0};  ///< waits to park at once before spinning again
+    /// park_left after a spin that outlasted the budget: doubles with each
+    /// such spin (up to a cap) and shrinks by one with each spin that did not.
+    unsigned backoff{1};
+  };
+
+  /// The barrier's two halves. await() spins on `ready` (or not, as the
+  /// waiter's history says), then parks on the side's cv; wake() unparks the
+  /// side's waiters if any are parked. `ready` and the state it reads must
+  /// be seq_cst atomics: the sleeper count and that state form a Dekker
+  /// pair, so a waker either sees the sleeper or the sleeper sees the new
+  /// state.
   template <typename Ready>
-  void await(std::condition_variable& cv, std::atomic<unsigned>& sleepers,
-             const Ready& ready);
-  void wake(std::condition_variable& cv, const std::atomic<unsigned>& sleepers);
+  void await(park_side& side, waiter& w, const Ready& ready);
+  void wake(park_side& side);
+
+  /// Everything a pool worker needs to join a batch, in the one cache line
+  /// it spins on. The caller writes the plain fields while no pool worker
+  /// is in a batch, then bumps `generation`; workers read them after seeing
+  /// the bump.
+  struct alignas(64) publish_line {
+    std::atomic<std::uint64_t> generation{0};  ///< batches published (+1 at shutdown)
+    job_fn fn{nullptr};           ///< null: shut down
+    const void* ctx{nullptr};
+    std::size_t count{0};
+    std::size_t chunk{0};         ///< claim size, or kBySlot
+    batch* claims{nullptr};       ///< claim cursor, hit and error state
+  };
+  static_assert(sizeof(publish_line) == 64, "a batch is published in one cache line");
 
   unsigned jobs_;
-  bool spin_;  ///< jobs_ <= default_jobs(): every waiter has its own core
-
-  batch* current_{nullptr};  ///< published before generation_ is bumped
-  bool shutdown_{false};     ///< likewise; read after a generation bump
-  alignas(64) std::atomic<std::uint64_t> generation_{0};  ///< batches published
+  publish_line line_;
   alignas(64) std::atomic<unsigned> pending_{0};  ///< pool workers still in the batch
 
-  std::mutex mu_;                      ///< parking only
-  std::condition_variable wake_cv_;    ///< workers: a new batch or shutdown
-  std::condition_variable done_cv_;    ///< caller: pending_ reached 0
-  std::atomic<unsigned> wake_sleepers_{0};
-  std::atomic<unsigned> done_sleepers_{0};
+  alignas(64) std::mutex mu_;  ///< parking only
+  park_side next_;             ///< pool workers: a new batch or shutdown
+  park_side done_;             ///< caller: pending_ reached 0
+  waiter caller_;              ///< the caller's side of done_
 
   std::vector<std::thread> workers_;  ///< last: the threads use every member above
 };

@@ -1,29 +1,13 @@
 #include "sim/sharded_event_queue.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <tuple>
 
 namespace adx::sim {
 
 // Inline into run_budgeted, its one caller: in sparse runs, where a window
 // holds only a few events, any per-window call is paid on nearly every event.
-inline std::uint64_t sharded_event_queue::window(exec::job_executor* ex) {
-  // Drain outboxes first so the shard heaps are the whole pending set. For
-  // sends emitted inside a window this is the same barrier as flushing at
-  // window end; doing it here additionally covers sends issued from outside
-  // any event (before the first window runs).
-  deliver_outboxes();
-
-  // The global minimum pending timestamp.
-  bool any = false;
-  vtime tmin{};
-  for (const auto& s : shards_) {
-    if (s.q.empty()) continue;
-    if (!any || s.q.next_at() < tmin) tmin = s.q.next_at();
-    any = true;
-  }
-  if (!any) return 0;
-
+inline std::uint64_t sharded_event_queue::window(exec::job_executor* ex, vtime tmin) {
   // Events with timestamp < tmin + lookahead are safe: any cross-shard
   // influence generated inside the window lands at >= sender_now + lookahead
   // >= tmin + lookahead, past the horizon. run_until is inclusive, so the
@@ -33,16 +17,20 @@ inline std::uint64_t sharded_event_queue::window(exec::job_executor* ex) {
   if (ex != nullptr) {
     // Slot w always runs shards w, w + J, w + 2J, ... on the same host
     // thread, so each shard's heap, slab and machine state stay in one
-    // core's cache from window to window.
-    const std::size_t stride = slot_ran_.size();
+    // core's cache from window to window. The slot also summarizes its
+    // shards for the next window while their lines are still its own.
+    const std::size_t stride = slots_.size();
     ex->for_each_slot([&](unsigned slot) {
-      std::uint64_t n = 0;
+      slot_record r;
       for (std::size_t i = slot; i < shards_.size(); i += stride) {
-        n += shards_[i].q.run_until(until);
+        shard& s = shards_[i];
+        r.ran += s.q.run_until(until);
+        if (!s.q.empty()) r.next.fold(s.q.next_at());
+        r.sent = r.sent || !s.outbox.empty();
       }
-      slot_ran_[slot].n = n;
+      slots_[slot] = r;
     });
-    for (const auto& r : slot_ran_) ran += r.n;
+    for (const auto& r : slots_) ran += r.ran;
   } else {
     for (auto& s : shards_) ran += s.q.run_until(until);
   }
@@ -50,32 +38,62 @@ inline std::uint64_t sharded_event_queue::window(exec::job_executor* ex) {
   return ran;
 }
 
-void sharded_event_queue::deliver_outboxes() {
-  // Most windows send nothing: keep that check small enough to inline.
+sharded_event_queue::frontier sharded_event_queue::scan() {
+  // Outboxes are merged before the window runs, so the shard heaps hold the
+  // whole pending set. For sends emitted inside a window this is the same
+  // barrier as flushing at window end; doing it here additionally covers
+  // sends issued from outside any event (before the first window runs).
+  frontier f;
+  bool sent = false;
   for (const auto& s : shards_) {
-    if (!s.outbox.empty()) return merge_outboxes();
+    if (!s.q.empty()) f.fold(s.q.next_at());
+    sent = sent || !s.outbox.empty();
   }
+  if (sent) f.fold(merge_outboxes());
+  return f;
 }
 
-void sharded_event_queue::merge_outboxes() {
+sharded_event_queue::frontier sharded_event_queue::reduce() {
+  // Between windows nothing but the merge adds events, so the slots' minima
+  // and the earliest delivery bound the pending set exactly as scan() would.
+  frontier f;
+  bool sent = false;
+  for (const auto& r : slots_) {
+    if (r.next.any) f.fold(r.next.tmin);
+    sent = sent || r.sent;
+  }
+  if (sent) f.fold(merge_outboxes());
+  return f;
+}
+
+vtime sharded_event_queue::merge_outboxes() {
   // Merge every outbox in ascending (at, origin) order — a total order as
   // long as origins are unique per delivery, and independent of both the
   // worker schedule (outboxes are complete at the barrier) and the shard
-  // count (the key never mentions a shard index). The stable sort makes even
-  // duplicate-origin ties deterministic for a fixed shard count: outboxes
-  // are concatenated in shard order and each one is in emission order.
-  for (auto& s : shards_) {
-    std::move(s.outbox.begin(), s.outbox.end(), std::back_inserter(merged_));
-    s.outbox.clear();
+  // count (the key never mentions a shard index). Even duplicate-origin ties
+  // are deterministic for a fixed shard count: they keep their order in the
+  // concatenation of the outboxes, which run in shard order and each in
+  // emission order. Sorting small keys in place, with that index as the last
+  // key, gives the stable order without a stable sort's temporary buffer,
+  // and the callbacks move only once, straight into their target heaps.
+  for (std::uint64_t sh = 0; sh < shards_.size(); ++sh) {
+    const auto& out = shards_[sh].outbox;
+    for (std::uint64_t i = 0; i < out.size(); ++i) {
+      merged_.push_back({out[i].at, out[i].origin, sh << 32 | i});
+    }
   }
-  std::stable_sort(merged_.begin(), merged_.end(),
-                   [](const pending_send& a, const pending_send& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     return a.origin < b.origin;
-                   });
-  for (auto& p : merged_) shards_[p.to].q.schedule_at(p.at, std::move(p.fn));
+  std::sort(merged_.begin(), merged_.end(), [](const merge_key& a, const merge_key& b) {
+    return std::tie(a.at, a.origin, a.source) < std::tie(b.at, b.origin, b.source);
+  });
+  for (const auto& k : merged_) {
+    auto& p = shards_[k.source >> 32].outbox[k.source & 0xFFFF'FFFFU];
+    shards_[p.to].q.schedule_at(p.at, std::move(p.fn));
+  }
+  for (auto& s : shards_) s.outbox.clear();
+  const vtime first = merged_.front().at;
   cross_sends_ += merged_.size();
   merged_.clear();
+  return first;
 }
 
 std::uint64_t sharded_event_queue::run_budgeted(exec::job_executor* ex,
@@ -84,12 +102,12 @@ std::uint64_t sharded_event_queue::run_budgeted(exec::job_executor* ex,
   // degenerate case stays the plain sequential loop.
   exec::job_executor* driver =
       ex != nullptr && shards_.size() > 1 && ex->jobs() > 1 ? ex : nullptr;
-  if (driver != nullptr) slot_ran_.resize(driver->jobs());
+  if (driver != nullptr) slots_.resize(driver->jobs());
   std::uint64_t ran = 0;
-  while (ran < max_events) {
-    const std::uint64_t n = window(driver);
-    if (n == 0) break;
-    ran += n;
+  for (bool first = true; ran < max_events; first = false) {
+    const frontier f = driver != nullptr && !first ? reduce() : scan();
+    if (!f.any) break;
+    ran += window(driver, f.tmin);
   }
   return ran;
 }

@@ -15,6 +15,13 @@
 // shard, so the parallel execution is a legal serialization of the
 // sequential one.
 //
+// The coordinator's serial work per window is kept off the shards' cache
+// lines. After a parallel window it does not read the shard queues: each
+// slot records its shards' earliest pending timestamp and whether any of
+// their outboxes is non-empty, and the coordinator folds those J records
+// with the earliest delivery it merged at the barrier (if any). Only the
+// first window of a run and sequential windows read every shard's head.
+//
 // Determinism contract (the src/exec discipline, extended to shards):
 //   * Shard-local results are bit-identical for ANY shard count and ANY
 //     worker count. With one shard the queue degenerates to the sequential
@@ -148,23 +155,51 @@ class sharded_event_queue {
     std::vector<pending_send> outbox;  ///< written only by the shard's worker
   };
 
-  /// One synchronization round; returns the events it ran, which is 0 only
-  /// when fully drained (a live round always runs its earliest event).
-  std::uint64_t window(exec::job_executor* ex);
-  /// Flushes all outboxes in (at, origin) order.
-  void deliver_outboxes();
-  /// deliver_outboxes' slow path: at least one outbox is non-empty.
-  void merge_outboxes();
+  /// The pending set's earliest timestamp, if it has one.
+  struct frontier {
+    bool any{false};
+    vtime tmin{};
+    void fold(vtime at) {
+      if (!any || at < tmin) tmin = at;
+      any = true;
+    }
+  };
+  /// Reads every shard's head and outbox, and delivers the outboxes: the
+  /// first window of a run (setup code may have scheduled or sent anywhere)
+  /// and every sequential window.
+  frontier scan();
+  /// The same answer after a parallel window, from the slot records alone
+  /// (plus the merge when a slot reports a non-empty outbox).
+  frontier reduce();
+  /// One synchronization round over [tmin, tmin + lookahead); returns the
+  /// events it ran (at least one: the event at tmin).
+  std::uint64_t window(exec::job_executor* ex, vtime tmin);
+  /// Delivers every outbox in (at, origin) order; at least one must be
+  /// non-empty. Returns the earliest delivery's timestamp.
+  vtime merge_outboxes();
 
-  /// Events one executor slot ran in the current window; padded so the
-  /// slots' writes never share a cache line.
-  struct alignas(64) slot_count {
-    std::uint64_t n{0};
+  /// One executor slot's summary of its shards after a parallel window, so
+  /// the coordinator reads J records instead of every shard's queue (each
+  /// one just written by another core). Padded so the slots' writes never
+  /// share a cache line.
+  struct alignas(64) slot_record {
+    std::uint64_t ran{0};  ///< events the slot ran in the window
+    frontier next;         ///< its shards' earliest pending timestamp
+    bool sent{false};      ///< some outbox of its shards is non-empty
+  };
+
+  /// A delivery's place in the barrier merge: ascending (at, origin), ties
+  /// broken by `source` = shard << 32 | outbox position, which orders like
+  /// the delivery's index in the shard-order concatenation of the outboxes.
+  struct merge_key {
+    vtime at;
+    std::uint64_t origin;
+    std::uint64_t source;
   };
 
   std::vector<shard> shards_;
-  std::vector<slot_count> slot_ran_;  ///< one per executor slot, parallel runs only
-  std::vector<pending_send> merged_;  ///< barrier merge buffer, reused
+  std::vector<slot_record> slots_;  ///< one per executor slot, parallel runs only
+  std::vector<merge_key> merged_;   ///< barrier merge order, reused
   vdur lookahead_;
   std::uint64_t windows_{0};
   std::uint64_t cross_sends_{0};

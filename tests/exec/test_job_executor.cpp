@@ -1,7 +1,8 @@
 // Unit tests for the parallel executor: the determinism contract (results
 // collected by index, identical for any worker count), the find_first
 // ordering guarantees, exception propagation, the spin-then-park barrier
-// (no lost wake-ups on either side) and for_each_slot's thread affinity.
+// (no lost wake-ups on either side, parking adapted to the observed waits,
+// its counters) and for_each_slot's thread affinity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -258,10 +259,11 @@ TEST(JobExecutor, ForEachSlotWithOneJobRunsSlotZeroInline) {
   EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
-TEST(JobExecutor, OversubscribedPoolParksAtOnceAndStaysCorrect) {
-  // More workers than host cores takes the park-at-once path. Two extra
-  // workers are enough to cross the line; on a very wide host that would
-  // still mean many threads, so the test keeps to modest hosts.
+TEST(JobExecutor, OversubscribedPoolParksAndStaysCorrect) {
+  // More workers than host cores: spinners share cores with the threads
+  // they wait for, so waits outlast the spin budget and the pool parks. Two
+  // extra workers are enough to cross the line; on a very wide host that
+  // would still mean many threads, so the test keeps to modest hosts.
   if (default_jobs() > 62) GTEST_SKIP() << "host has " << default_jobs() << " cores";
   job_executor ex(default_jobs() + 2);
   const std::size_t n = 3 * ex.jobs() + 1;
@@ -275,6 +277,99 @@ TEST(JobExecutor, OversubscribedPoolParksAtOnceAndStaysCorrect) {
   }
   const auto out = ex.map(n, [](std::size_t i) { return i * 3; });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], i * 3);
+  const auto c = ex.counters();
+  EXPECT_EQ(c.batches, 601u);
+  EXPECT_GT(c.worker_parks + c.caller_parks, 0u);
+}
+
+// --- Adaptive spin vs park, and the barrier's counters. --------------------
+
+/// Yields until `done()` holds; fails the test instead of hanging if it
+/// never does.
+template <typename Done>
+void poll_until(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << "condition never held";
+      return;
+    }
+    std::this_thread::yield();
+  }
+}
+
+/// One slot batch whose end the caller must park for: slot 1 holds it open
+/// until the caller has parked, and then past the spin budget.
+void long_caller_wait(job_executor& ex) {
+  const auto parked = ex.counters().caller_parks;
+  ex.for_each_slot([&](unsigned slot) {
+    if (slot != 1) return;
+    poll_until([&] { return ex.counters().caller_parks > parked; });
+    std::this_thread::sleep_for(kPastSpinBudget);
+  });
+}
+
+TEST(JobExecutor, CountersCountPublishedBatches) {
+  job_executor one(1);
+  one.for_each(10, [](std::size_t) {});
+  EXPECT_EQ(one.counters().batches, 0u) << "jobs=1 runs inline";
+  job_executor ex(3);
+  ex.for_each(1, [](std::size_t) {});
+  EXPECT_EQ(ex.counters().batches, 0u) << "a single job runs inline";
+  ex.for_each(10, [](std::size_t) {});
+  ex.for_each_slot([](unsigned) {});
+  (void)ex.map(5, [](std::size_t i) { return i; });
+  (void)ex.find_first(7, [](std::size_t i) { return i == 3; });
+  EXPECT_EQ(ex.counters().batches, 4u);
+}
+
+TEST(JobExecutor, LongWaitsParkAndKeepTheNextWaitParked) {
+  // Deterministic: each wait below is held open until its waiter has parked
+  // (the counters say so) and then past the spin budget, so no schedule can
+  // end it by spinning; each side parks exactly once per wait.
+  job_executor ex(3);
+  const std::uint64_t pool = ex.jobs() - 1;
+  // No batch yet: the pool workers' first wait runs out and parks.
+  poll_until([&] { return ex.counters().worker_parks == pool; });
+  for (int round = 0; round < 5; ++round) {
+    const auto before = ex.counters();
+    long_caller_wait(ex);
+    EXPECT_EQ(ex.counters().caller_parks, before.caller_parks + 1) << "round " << round;
+    // The next batch waits until both pool workers have parked.
+    poll_until([&] { return ex.counters().worker_parks == before.worker_parks + pool; });
+    std::this_thread::sleep_for(kPastSpinBudget);
+    EXPECT_EQ(ex.counters().worker_parks, before.worker_parks + pool) << "round " << round;
+  }
+  // After those long waits the caller parks at once, even on a batch whose
+  // jobs return immediately.
+  const auto before = ex.counters();
+  ex.for_each_slot([](unsigned) {});
+  EXPECT_EQ(ex.counters().caller_parks, before.caller_parks + 1);
+  EXPECT_EQ(ex.counters().batches, before.batches + 1);
+}
+
+TEST(JobExecutor, ShortWaitsAfterLongOnesResumeSpinning) {
+  job_executor ex(3);
+  const unsigned pool = ex.jobs() - 1;
+  for (int round = 0; round < 5; ++round) long_caller_wait(ex);
+  ASSERT_EQ(ex.counters().caller_parks, 5u);
+  // Then short ones: slot 0 (the caller) holds each batch until every pool
+  // slot is done, so the caller's wait is only the pool threads leaving.
+  // Parked waits that short bring the caller back to spinning.
+  const auto short_batch = [&] {
+    std::atomic<unsigned> done{0};
+    ex.for_each_slot([&](unsigned slot) {
+      if (slot != 0) {
+        done.fetch_add(1);
+        return;
+      }
+      while (done.load() != pool) std::this_thread::yield();
+    });
+  };
+  for (int i = 0; i < 200; ++i) short_batch();
+  const auto parked = ex.counters().caller_parks;
+  for (int i = 0; i < 100; ++i) short_batch();
+  EXPECT_LT(ex.counters().caller_parks - parked, 50u) << "the caller still parks every wait";
 }
 
 }  // namespace

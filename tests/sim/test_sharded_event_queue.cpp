@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -83,10 +84,20 @@ TEST(ShardedEventQueue, NowIsMaxOverShards) {
 // executions). The per-stream traces are therefore a total observable —
 // byte-identical between the plain reference queue and the sharded queue at
 // every shard count and worker count.
+//
+// The program builds in three shapes the parallel window's slot-local
+// bookkeeping must get right: (1) every stream sends one message from setup
+// code, before the first window; (2) halfway through its chain every stream
+// messages its neighbour, whose shard another executor slot owns; (3) it
+// then falls quiet until kQuietEnd, so the last stream's message is earlier
+// than every event pending in any shard, and the next window must start at
+// a delivery merged at the barrier, not at a shard's head.
 
 constexpr unsigned kStreams = 8;
 constexpr std::uint64_t kResidue = kStreams;
 constexpr vdur kLookahead{kResidue * 50};  // multiple of the residue modulus
+/// Where the quiet streams resume: past every earlier event, ≡ 0 mod kResidue.
+constexpr std::uint64_t kQuietEnd = kResidue * 1'000'000;
 
 struct rec {
   std::uint64_t at;
@@ -112,7 +123,12 @@ class driver {
     for (unsigned s = 0; s < kStreams; ++s) {
       st_[s].x = 0x9E3779B97F4A7C15ULL * (s + 1);
       st_[s].remaining = events_per_stream;
+      st_[s].quiet_at = events_per_stream / 2;
       schedule_local(s, vtime{s});
+    }
+    // Setup sends: issued before the first window, each to a stream two away.
+    for (unsigned s = 0; s < kStreams; ++s) {
+      send(s, (s + 2) % kStreams, vtime{s + static_cast<std::uint64_t>(kLookahead.ns) * 3});
     }
   }
 
@@ -132,6 +148,7 @@ class driver {
   struct stream_state {
     std::uint64_t x{0};
     unsigned remaining{0};
+    unsigned quiet_at{0};  ///< `remaining` at which the stream falls quiet
     std::uint64_t origin_counter{0};
   };
 
@@ -152,26 +169,33 @@ class driver {
     }
   }
 
+  /// Stream s messages stream u, delivering at `at`.
+  void send(unsigned s, unsigned u, vtime at) {
+    const auto fn = [this, u, s, at] { out_.trace[u].push_back({at.ns, s, true}); };
+    if (shards_) {
+      const auto origin = (static_cast<std::uint64_t>(s) << 32) | st_[s].origin_counter++;
+      shq_->send(shard_of(s), shard_of(u), at, origin, fn);
+    } else {
+      ref_.schedule_at(at, fn);
+    }
+  }
+
   void local_event(unsigned s, vtime t) {
     out_.trace[s].push_back({t.ns, s, false});
+    if (--st_[s].remaining == 0) return;
+    if (st_[s].remaining == st_[s].quiet_at) {
+      send(s, (s + 1) % kStreams, t + kLookahead);
+      schedule_local(s, vtime{kQuietEnd + s});
+      return;
+    }
     if (rnd(s, 4) == 0) {
       const auto u = static_cast<unsigned>((s + 1 + rnd(s, kStreams - 1)) % kStreams);
       // extra == 0 lands the message at exactly the lookahead horizon — the
       // boundary case the conservative window must still order correctly.
       const std::uint64_t extra = rnd(s, 3) * kResidue;
-      const vtime at{t.ns + static_cast<std::uint64_t>(kLookahead.ns) + extra};
-      const auto fn = [this, u, s, at] { out_.trace[u].push_back({at.ns, s, true}); };
-      if (shards_) {
-        const auto origin =
-            (static_cast<std::uint64_t>(s) << 32) | st_[s].origin_counter++;
-        shq_->send(shard_of(s), shard_of(u), at, origin, fn);
-      } else {
-        ref_.schedule_at(at, fn);
-      }
+      send(s, u, vtime{t.ns + static_cast<std::uint64_t>(kLookahead.ns) + extra});
     }
-    if (--st_[s].remaining > 0) {
-      schedule_local(s, vtime{t.ns + kResidue * (1 + rnd(s, 25))});
-    }
+    schedule_local(s, vtime{t.ns + kResidue * (1 + rnd(s, 25))});
   }
 
   unsigned shards_;
@@ -213,7 +237,8 @@ TEST(ShardedEventQueue, StressMatchesSequentialReferenceAtEveryShardCount) {
 TEST(ShardedEventQueue, ParallelExecutionMatchesSequential) {
   // Every worker count on 8 shards: 3 does not divide the shard count (slots
   // own 3, 3 and 2 shards) and 8 gives each slot one shard (and, on hosts
-  // with fewer cores, takes the executor's park-at-once path).
+  // with fewer cores, drives the executor's waits past the spin budget into
+  // parking).
   constexpr unsigned kEvents = 300;
   const auto seq = driver(8, kEvents).run();
   for (const unsigned jobs : {2u, 3u, 4u, 8u}) {
@@ -225,6 +250,53 @@ TEST(ShardedEventQueue, ParallelExecutionMatchesSequential) {
     EXPECT_EQ(par.shard_clocks, seq.shard_clocks) << "jobs=" << jobs;
     for (unsigned s = 0; s < kStreams; ++s) {
       EXPECT_EQ(par.trace[s], seq.trace[s]) << "jobs=" << jobs << " stream=" << s;
+    }
+  }
+}
+
+TEST(ShardedEventQueue, BarrierMergeMatchesStableSortWithTiesAndDuplicateOrigins) {
+  // Random outboxes drawn from 4 timestamps and 5 origins, so both keys tie
+  // constantly. The barrier must deliver them in exactly the order a stable
+  // sort by (at, origin) gives the shard-order concatenation of the
+  // outboxes; each target shard runs its same-timestamp deliveries in
+  // delivery order, so its log shows that order.
+  constexpr unsigned kShards = 5;
+  constexpr vdur kHorizon{100};
+  struct sent {
+    vtime at;
+    std::uint64_t origin;
+    unsigned to;
+    unsigned id;
+  };
+  std::uint64_t x = 0x2545F4914F6CDD1DULL;
+  const auto rnd = [&x](std::uint64_t mod) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % mod;
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    for (const unsigned jobs : {1u, 3u}) {
+      sharded_event_queue q(kShards, kHorizon);
+      std::array<std::vector<sent>, kShards> outbox;
+      std::array<std::vector<unsigned>, kShards> log;
+      const auto n = static_cast<unsigned>(1 + rnd(120));
+      for (unsigned id = 0; id < n; ++id) {
+        const auto from = static_cast<unsigned>(rnd(kShards));
+        const sent m{vtime{static_cast<std::uint64_t>(kHorizon.ns) + 10 * rnd(4)}, rnd(5),
+                     static_cast<unsigned>(rnd(kShards)), id};
+        outbox[from].push_back(m);
+        q.send(from, m.to, m.at, m.origin, [&log, m] { log[m.to].push_back(m.id); });
+      }
+      std::vector<sent> order;
+      for (const auto& out : outbox) order.insert(order.end(), out.begin(), out.end());
+      std::stable_sort(order.begin(), order.end(), [](const sent& a, const sent& b) {
+        return a.at != b.at ? a.at < b.at : a.origin < b.origin;
+      });
+      std::array<std::vector<unsigned>, kShards> want;
+      for (const auto& m : order) want[m.to].push_back(m.id);
+      exec::job_executor ex(jobs);
+      EXPECT_EQ(q.run(ex), n);
+      EXPECT_EQ(q.cross_sends(), n);
+      EXPECT_EQ(log, want) << "trial " << trial << " jobs=" << jobs;
     }
   }
 }
